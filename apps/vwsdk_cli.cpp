@@ -265,9 +265,6 @@ int run_sweep(int argc, const char* const* argv) {
   args.add_int_option("threads", 0,
                       "worker threads (0 = VWSDK_THREADS, then hardware)");
   args.add_option("out", "-", "output path, '-' = stdout");
-  args.add_flag("intra-layer",
-                "parallelize inside each layer's search instead of across "
-                "layers");
   args.add_flag("stats", "print pool/cache statistics to stderr");
   if (!args.parse(argc, argv)) {
     return kExitOk;
@@ -303,13 +300,11 @@ int run_sweep(int argc, const char* const* argv) {
   // cross-product: each (net, array) point fans its layers out across
   // the shared pool, and repeated (mapper, shape, array) searches --
   // common when networks share layer shapes -- are deduplicated across
-  // points.  The sweep composes its own OptimizerOptions (for
-  // --intra-layer) instead of calling api.compare per point.
+  // points.
   ServiceApi api = service_from_args(args);
   OptimizerOptions options;
   options.pool = &api.pool();
   options.cache = &api.cache();
-  options.intra_layer = args.get_flag("intra-layer");
   options.objective = &objective_from_args(args);
 
   std::vector<NetworkComparison> sweep;
@@ -746,9 +741,6 @@ int run_mappers(int argc, const char* const* argv) {
       std::vector<std::string> caps;
       if (info.capabilities.objective_aware) {
         caps.emplace_back("objective-aware");
-      }
-      if (info.capabilities.parallel_search) {
-        caps.emplace_back("parallel");
       }
       if (info.capabilities.exhaustive) {
         caps.emplace_back("exhaustive");

@@ -44,9 +44,8 @@ int main() {
   fill_random_int(weights, rng, 3);
   const ConvConfig config;  // stride 1, pad 0 (the paper's convention)
 
-  const BackendRegistry& registry = BackendRegistry::instance();
-  const RefBackend& scalar = registry.get("scalar");
-  const RefBackend& gemm = registry.get("gemm");
+  const RefBackend& scalar = ref_backend("scalar");
+  const RefBackend& gemm = ref_backend("gemm");
 
   const Clock::time_point scalar_start = Clock::now();
   const Tensord oracle = scalar.conv2d(ifm, weights, config, nullptr);

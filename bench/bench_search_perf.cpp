@@ -9,7 +9,6 @@
 ///  * single-layer search cost (vw-sdk full scan vs the pruned variant);
 ///  * whole-model-zoo mapping, sequential vs the threaded optimizer,
 ///    with the speedup as an INFO value CI can track over time;
-///  * intra-layer parallel candidate evaluation on the largest layer;
 ///  * MappingCache effect on VGG-16 (9 distinct shapes in 13 layers)
 ///    with exact hit/miss counts.
 ///
@@ -111,19 +110,6 @@ int main() {
   reporter.report_value("zoo threaded (ms)", par_ms);
   reporter.report_value("across-layer parallel speedup (x)",
                         par_ms > 0 ? seq_ms / par_ms : 0.0);
-
-  reporter.section("Intra-layer parallel candidate evaluation");
-  {
-    const ConvShape largest = ConvShape::square(224, 3, 64, 64);
-    ThreadPool pool(threads);
-    const MappingDecision sequential = vw->map(largest, kGeometry);
-    MappingDecision parallel;
-    const double intra_ms = time_ms(
-        [&]() { parallel = vw->map_parallel(largest, kGeometry, pool); });
-    reporter.expect_true("map_parallel decision identical to map",
-                         parallel == sequential);
-    reporter.report_value("224x224 intra-layer scan (ms)", intra_ms);
-  }
 
   reporter.section("Memoized search: MappingCache on VGG-16");
   {

@@ -75,7 +75,7 @@ const Objective& objective_from_args(const ArgParser& args) {
 void add_ref_backend_option(ArgParser& args) {
   args.add_option("ref-backend", "",
                   cat("reference execution backend (",
-                      BackendRegistry::instance().known_names(),
+                      ref_backend_names(),
                       "; default: VWSDK_REF_BACKEND, then gemm)"));
 }
 

@@ -58,13 +58,13 @@ std::vector<std::string> mappers_from_args(const ArgParser& args);
 void add_objective_option(ArgParser& args);
 
 /// Declare --ref-backend, the reference execution backend a functional
-/// verification compares against; the help text lists the registered
-/// backends (BackendRegistry::instance()).  Empty (the default) defers
+/// verification compares against; the help text lists the known
+/// backends (ref_backend_names()).  Empty (the default) defers
 /// to the `VWSDK_REF_BACKEND` environment variable, then "gemm".
 void add_ref_backend_option(ArgParser& args);
 
 /// The canonical backend name from --ref-backend, resolved through
-/// resolve_ref_backend (throws NotFound listing the registered names on
+/// resolve_ref_backend (throws NotFound listing the known names on
 /// an unknown name).
 std::string ref_backend_from_args(const ArgParser& args);
 

@@ -26,9 +26,8 @@ class ExhaustiveMapper final : public Mapper {
 
   std::string name() const override { return "exhaustive"; }
 
-  /// Evaluates all windows, scoring each through `context.scoring()`;
-  /// with `context.pool` the costs are computed over the pool and then
-  /// reduced in scan order, returning exactly the sequential decision.
+  /// Evaluates all windows in scan order, scoring each through
+  /// `context.scoring()`.
   MappingDecision map(const MappingContext& context) const override;
 };
 

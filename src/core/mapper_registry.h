@@ -40,9 +40,6 @@ struct MapperCapabilities {
   /// compute a fixed mapping and merely report its score).
   bool objective_aware = false;
 
-  /// Candidate evaluation can fan out over MappingContext::pool.
-  bool parallel_search = false;
-
   /// Guarantees the global optimum over all admissible windows.
   bool exhaustive = false;
 

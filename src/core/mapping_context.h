@@ -5,11 +5,10 @@
 ///
 /// A MappingContext bundles what used to be loose `map(shape, geometry)`
 /// arguments with the engine's shared resources: the search objective,
-/// the thread pool candidate evaluation may fan out over, the
-/// memoization cache, and the optional search trace.  It is cheap to
+/// the memoization cache, and the optional search trace.  It is cheap to
 /// copy (non-owning pointers; the caller keeps ownership of every
 /// resource) and default-constructs to the paper's configuration:
-/// cycles objective, sequential scan, no cache, no trace.
+/// cycles objective, no cache, no trace.
 
 #include "mapping/conv_shape.h"
 #include "mapping/objective.h"
@@ -19,7 +18,6 @@ namespace vwsdk {
 
 class MappingCache;
 class SearchTrace;
-class ThreadPool;
 
 /// Everything a Mapper needs to choose a mapping for one layer.
 struct MappingContext {
@@ -29,12 +27,6 @@ struct MappingContext {
   /// Scoring strategy for candidate comparison and tie-breaking;
   /// nullptr means cycles_objective() (the paper's search, bit-exact).
   const Objective* objective = nullptr;
-
-  /// When non-null, search mappers may spread candidate evaluation over
-  /// the pool; the decision is identical either way (costs are reduced
-  /// in scan order, never completion order).  Must not point at a pool
-  /// the current task is already running on (see thread_pool.h).
-  ThreadPool* pool = nullptr;
 
   /// When non-null, callers routing searches through the engine memoize
   /// them here, keyed by (mapper, shape, geometry, objective).  Mappers

@@ -34,14 +34,6 @@ MappingDecision Mapper::map(const ConvShape& shape,
   return map(MappingContext{shape, geometry});
 }
 
-MappingDecision Mapper::map_parallel(const ConvShape& shape,
-                                     const ArrayGeometry& geometry,
-                                     ThreadPool& pool) const {
-  MappingContext context{shape, geometry};
-  context.pool = &pool;
-  return map(context);
-}
-
 std::unique_ptr<Mapper> make_mapper(const std::string& name) {
   return MapperRegistry::instance().create(name);
 }

@@ -13,8 +13,6 @@
 
 namespace vwsdk {
 
-class ThreadPool;
-
 /// A mapper's chosen mapping for one (layer, array) pair.
 struct MappingDecision {
   std::string algorithm;    ///< producer name ("im2col", "sdk", "vw-sdk", ...)
@@ -47,10 +45,9 @@ struct MappingDecision {
 ///
 /// The primary entry point is context-based: `map(const MappingContext&)`
 /// receives the layer, the array, the scoring objective, and (for search
-/// mappers) an optional pool and trace.  The two-argument `map` and
-/// `map_parallel` are non-virtual compatibility shims equivalent to a
-/// default context (cycles objective) -- they are what the pre-context
-/// API looked like, and every historical call site still works.
+/// mappers) an optional trace.  The two-argument `map` is a non-virtual
+/// compatibility shim equivalent to a default context (cycles
+/// objective) -- it is what the pre-context API looked like.
 class Mapper {
  public:
   virtual ~Mapper() = default;
@@ -58,25 +55,14 @@ class Mapper {
   /// Short stable identifier ("im2col", "smd", "sdk", "vw-sdk", ...).
   virtual std::string name() const = 0;
 
-  /// Choose a mapping under `context`.  Implementations must score
-  /// candidates through `context.scoring()` (search mappers) and may
-  /// fan candidate evaluation out over `context.pool`; the decision is
-  /// identical at any pool size.
+  /// Choose a mapping under `context`.  Search mappers must score
+  /// candidates through `context.scoring()`.
   virtual MappingDecision map(const MappingContext& context) const = 0;
 
   /// Compatibility shim: map `shape` on `geometry` under the default
-  /// context (cycles objective, sequential).
+  /// context (cycles objective).
   MappingDecision map(const ConvShape& shape,
                       const ArrayGeometry& geometry) const;
-
-  /// Compatibility shim: as the two-argument map(), free to spread
-  /// candidate evaluation over `pool`.  The result is identical to
-  /// map()'s -- parallelism may change the wall time, never the
-  /// decision.  Must not be called from a task already running on
-  /// `pool` (see thread_pool.h).
-  MappingDecision map_parallel(const ConvShape& shape,
-                               const ArrayGeometry& geometry,
-                               ThreadPool& pool) const;
 };
 
 /// Construct any registered mapper by name or alias (case-insensitive);

@@ -73,15 +73,12 @@ ConvShape mapping_shape(const ConvLayerDesc& layer) {
   return shape;
 }
 
-/// One layer's search: through the cache when one is given, spread over
-/// `pool` (may be null) when `intra_layer` asks for it.
+/// One layer's search: through the cache when one is given.
 MappingDecision map_layer(const Mapper& mapper, const ConvShape& shape,
                           const ArrayGeometry& geometry,
-                          const OptimizerOptions& options,
-                          ThreadPool* intra_pool) {
+                          const OptimizerOptions& options) {
   MappingContext context{shape, geometry};
   context.objective = options.objective;
-  context.pool = intra_pool;
   context.cache = options.cache;
   if (options.cache != nullptr) {
     return options.cache->map(mapper, context);
@@ -106,38 +103,31 @@ NetworkMappingResult optimize_network(const Mapper& mapper,
 
   const std::vector<ConvLayerDesc>& layers = network.layers();
   const int threads = resolve_threads(options);
-  const bool across_layers =
-      !options.intra_layer && threads > 1 && layers.size() > 1;
-  const bool within_layer = options.intra_layer && threads > 1;
 
   // Declaration order matters for exception safety: `decisions` must
   // outlive the owned pool (its destructor finishes in-flight tasks that
   // write into `decisions`).
   std::vector<MappingDecision> decisions(layers.size());
   std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = (across_layers || within_layer)
-                         ? borrow_or_create_pool(options, threads,
-                                                 owned_pool)
-                         : options.pool;
 
-  if (across_layers) {
+  if (threads > 1 && layers.size() > 1) {
     // Fan layers out across the pool; slot `i` of `decisions` belongs to
     // layer `i`, so the result order is the network order regardless of
     // completion order.
+    ThreadPool* pool = borrow_or_create_pool(options, threads, owned_pool);
     parallel_chunks(*pool, static_cast<Count>(layers.size()),
                     [&](Count begin, Count end) {
                       for (Count i = begin; i < end; ++i) {
                         const auto index = static_cast<std::size_t>(i);
-                        decisions[index] = map_layer(
-                            mapper, mapping_shape(layers[index]), geometry,
-                            options, nullptr);
+                        decisions[index] =
+                            map_layer(mapper, mapping_shape(layers[index]),
+                                      geometry, options);
                       }
                     });
   } else {
-    ThreadPool* intra_pool = within_layer ? pool : nullptr;
     for (std::size_t i = 0; i < layers.size(); ++i) {
-      decisions[i] = map_layer(mapper, mapping_shape(layers[i]), geometry,
-                               options, intra_pool);
+      decisions[i] =
+          map_layer(mapper, mapping_shape(layers[i]), geometry, options);
     }
   }
 

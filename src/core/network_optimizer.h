@@ -6,13 +6,13 @@
 /// computation behind Table I and Fig. 8).
 ///
 /// The optimizer is a concurrent, memoized search engine:
-///  * layer searches fan out across a fixed-size ThreadPool (or, with
-///    `intra_layer`, each layer's window candidates do);
+///  * layer searches fan out across a fixed-size ThreadPool; each
+///    layer's own window scan is sequential;
 ///  * an optional MappingCache deduplicates repeated (shape, array,
 ///    algorithm) searches -- real networks repeat shapes heavily;
-///  * results are bit-identical to the sequential scan in any mode: the
-///    layer order, each layer's decision, and each mapper's SearchTrace
-///    are all reduced in deterministic order, never completion order.
+///  * results are bit-identical to the sequential scan at any thread
+///    count: each layer's decision lands in its layer's slot, never in
+///    completion order.
 ///
 /// Thread count resolution: `OptimizerOptions::threads` when positive,
 /// else the `VWSDK_THREADS` environment variable, else the hardware
@@ -84,12 +84,6 @@ struct OptimizerOptions {
   /// triples are searched once.  The caller keeps ownership, so one
   /// cache can span many optimize_network / compare_mappers calls.
   MappingCache* cache = nullptr;
-
-  /// false (default): map layers concurrently, each layer's search
-  /// sequential.  true: map layers in order, parallelizing each layer's
-  /// candidate evaluation through the context's pool -- better for
-  /// few-layer networks with large search spaces.
-  bool intra_layer = false;
 
   /// Search objective every layer's candidates are scored under;
   /// nullptr means cycles_objective() (the paper's search, bit-exact).

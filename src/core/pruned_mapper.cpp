@@ -98,8 +98,8 @@ void register_pruned_mapper(MapperRegistry& registry) {
       "vw-sdk-pruned",
       {"pruned"},
       "Algorithm 1 with exactness-preserving search-space prunes",
-      MapperCapabilities{/*objective_aware=*/true, /*parallel_search=*/false,
-                         /*exhaustive=*/false, /*grouped=*/true},
+      MapperCapabilities{/*objective_aware=*/true, /*exhaustive=*/false,
+                         /*grouped=*/true},
       50,
       []() { return std::make_unique<PrunedVwSdkMapper>(); }});
 }

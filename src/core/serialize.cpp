@@ -404,8 +404,6 @@ std::string to_json(const MapperRegistry& registry) {
     os << "],\"description\":" << json_quote(info.description)
        << ",\"capabilities\":{\"objective_aware\":"
        << (info.capabilities.objective_aware ? "true" : "false")
-       << ",\"parallel_search\":"
-       << (info.capabilities.parallel_search ? "true" : "false")
        << ",\"exhaustive\":"
        << (info.capabilities.exhaustive ? "true" : "false")
        << ",\"grouped\":" << (info.capabilities.grouped ? "true" : "false")

@@ -1,8 +1,5 @@
 #include "core/vwsdk_mapper.h"
 
-#include <vector>
-
-#include "common/thread_pool.h"
 #include "core/mapper_registry.h"
 
 namespace vwsdk {
@@ -23,21 +20,14 @@ MappingDecision VwSdkMapper::map(const MappingContext& context) const {
   decision.score = objective.score(shape, geometry, decision.cost);
 
   // Steps 2-16: every candidate in scan order (PW_h outer, PW_w inner),
-  // skipping the kernel window the initialization covers.  With a pool,
-  // costs may be *computed* out of order across workers; the reduction
-  // below is always sequential in scan order, so the first-minimum
-  // tie-break and the recorded trace are identical to the
-  // single-threaded scan.  Without a pool, costs stream one candidate
-  // at a time (no whole-scan cost buffer).
-  const std::vector<ParallelWindow> windows =
-      enumerate_windows(shape, /*include_kernel=*/false);
-
-  // `candidate_score` is the objective score of a feasible candidate
-  // (0.0 for infeasible ones); precomputed by the caller so the pooled
-  // path can evaluate scores in parallel too.
-  const auto consider = [&](const ParallelWindow& pw,
-                            const CycleCost& candidate,
-                            double candidate_score) {
+  // skipping the kernel window the initialization covers.  Costs stream
+  // one candidate at a time (no whole-scan cost buffer).
+  for (const ParallelWindow& pw :
+       enumerate_windows(shape, /*include_kernel=*/false)) {
+    const CycleCost candidate = vw_cost(shape, geometry, pw);
+    const double candidate_score =
+        candidate.feasible ? objective.score(shape, geometry, candidate)
+                           : 0.0;
     // The strict comparison keeps the first minimum.
     const bool improved =
         candidate.feasible &&
@@ -52,35 +42,15 @@ MappingDecision VwSdkMapper::map(const MappingContext& context) const {
       decision.cost = candidate;
       decision.score = candidate_score;
     }
-  };
-
-  if (context.pool != nullptr && context.pool->size() > 1) {
-    const std::vector<CycleCost> costs =
-        vw_costs(shape, geometry, windows, context.pool);
-    const std::vector<double> scores =
-        score_costs(objective, shape, geometry, costs, *context.pool);
-    for (std::size_t i = 0; i < windows.size(); ++i) {
-      consider(windows[i], costs[i], scores[i]);
-    }
-  } else {
-    for (const ParallelWindow& pw : windows) {
-      const CycleCost candidate = vw_cost(shape, geometry, pw);
-      consider(pw, candidate,
-               candidate.feasible
-                   ? objective.score(shape, geometry, candidate)
-                   : 0.0);
-    }
   }
   return decision;
 }
 
 MappingDecision VwSdkMapper::map_traced(const ConvShape& shape,
                                         const ArrayGeometry& geometry,
-                                        SearchTrace* trace,
-                                        ThreadPool* pool) const {
+                                        SearchTrace* trace) const {
   MappingContext context{shape, geometry};
   context.trace = trace;
-  context.pool = pool;
   return map(context);
 }
 
@@ -91,8 +61,8 @@ void register_vwsdk_mapper(MapperRegistry& registry) {
       "vw-sdk",
       {"vwsdk"},
       "variable-window SDK search, Algorithm 1 (the paper's proposal)",
-      MapperCapabilities{/*objective_aware=*/true, /*parallel_search=*/true,
-                         /*exhaustive=*/false, /*grouped=*/true},
+      MapperCapabilities{/*objective_aware=*/true, /*exhaustive=*/false,
+                         /*grouped=*/true},
       40,
       []() { return std::make_unique<VwSdkMapper>(); }});
 }

@@ -31,21 +31,15 @@ class VwSdkMapper final : public Mapper {
   std::string name() const override { return "vw-sdk"; }
 
   /// Algorithm 1 under `context`: candidates are scored by
-  /// `context.scoring()`, optionally evaluated over `context.pool`
-  /// (costs may be *computed* out of order; the reduction is always
-  /// sequential in scan order, so the first-minimum tie-break and the
-  /// recorded `context.trace` are identical to the single-threaded
-  /// scan), and every candidate is recorded into `context.trace` when
-  /// one is given.
+  /// `context.scoring()` in scan order, and every candidate is recorded
+  /// into `context.trace` when one is given.
   MappingDecision map(const MappingContext& context) const override;
 
   /// Compatibility shim: as the two-argument map(), recording every
-  /// candidate into `trace` (pass nullptr to skip recording) and
-  /// optionally evaluating candidates over `pool`.
+  /// candidate into `trace` (pass nullptr to skip recording).
   MappingDecision map_traced(const ConvShape& shape,
                              const ArrayGeometry& geometry,
-                             SearchTrace* trace,
-                             ThreadPool* pool = nullptr) const;
+                             SearchTrace* trace) const;
 };
 
 }  // namespace vwsdk

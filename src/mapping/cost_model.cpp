@@ -5,7 +5,6 @@
 #include "common/error.h"
 #include "common/math_util.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 
 namespace vwsdk {
 
@@ -131,35 +130,6 @@ CycleCost smd_cost(const ConvShape& shape, const ArrayGeometry& geometry) {
     cost.total = cost.n_parallel_windows;
   }
   return cost;
-}
-
-namespace {
-
-/// Below this many candidates the fan-out overhead outweighs the work;
-/// a 14x14 layer has ~140 candidates, a 224x224 layer ~49k.
-constexpr std::size_t kMinCandidatesForParallel = 512;
-
-}  // namespace
-
-std::vector<CycleCost> vw_costs(const ConvShape& shape,
-                                const ArrayGeometry& geometry,
-                                const std::vector<ParallelWindow>& windows,
-                                ThreadPool* pool) {
-  std::vector<CycleCost> costs(windows.size());
-  const auto evaluate_range = [&](Count begin, Count end) {
-    for (Count i = begin; i < end; ++i) {
-      const auto index = static_cast<std::size_t>(i);
-      costs[index] = vw_cost(shape, geometry, windows[index]);
-    }
-  };
-  if (pool != nullptr && pool->size() > 1 &&
-      windows.size() >= kMinCandidatesForParallel) {
-    parallel_chunks(*pool, static_cast<Count>(windows.size()),
-                    evaluate_range);
-  } else {
-    evaluate_range(0, static_cast<Count>(windows.size()));
-  }
-  return costs;
 }
 
 }  // namespace vwsdk

@@ -31,7 +31,6 @@
 ///    implies AR = AC = 1 by construction).
 
 #include <string>
-#include <vector>
 
 #include "common/types.h"
 #include "mapping/conv_shape.h"
@@ -39,8 +38,6 @@
 #include "pim/array_geometry.h"
 
 namespace vwsdk {
-
-class ThreadPool;
 
 /// How a mapping splits kernel rows across AR cycles.
 enum class RowSplit {
@@ -94,15 +91,5 @@ CycleCost vw_cost(const ConvShape& shape, const ArrayGeometry& geometry,
 
 /// Sub-matrix duplication cost (ref [6]).
 CycleCost smd_cost(const ConvShape& shape, const ArrayGeometry& geometry);
-
-/// vw_cost() of every window in `windows` (same indexing).  With a pool
-/// of more than one worker and a candidate set large enough to amortize
-/// the fan-out, evaluation is spread over the pool in contiguous chunks;
-/// the result is index-aligned and therefore independent of scheduling.
-/// Must not be called from a task already running on `pool`.
-std::vector<CycleCost> vw_costs(const ConvShape& shape,
-                                const ArrayGeometry& geometry,
-                                const std::vector<ParallelWindow>& windows,
-                                ThreadPool* pool = nullptr);
 
 }  // namespace vwsdk

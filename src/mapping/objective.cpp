@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "mapping/activity.h"
 
 namespace vwsdk {
@@ -130,31 +129,6 @@ const Objective& objective_by_name(const std::string& name) {
 std::vector<std::string> objective_names() {
   return {cycles_objective().name(), energy_objective().name(),
           edp_objective().name()};
-}
-
-std::vector<double> score_costs(const Objective& objective,
-                                const ConvShape& shape,
-                                const ArrayGeometry& geometry,
-                                const std::vector<CycleCost>& costs,
-                                ThreadPool& pool) {
-  std::vector<double> scores(costs.size(), 0.0);
-  const auto score_range = [&](Count begin, Count end) {
-    for (Count i = begin; i < end; ++i) {
-      const auto index = static_cast<std::size_t>(i);
-      if (costs[index].feasible) {
-        scores[index] = objective.score(shape, geometry, costs[index]);
-      }
-    }
-  };
-  // A cycle-count score is a field read; the fan-out would cost more
-  // than it saves.  Activity-model scores dominate an energy/EDP scan.
-  if (objective.cycle_lower_bound_admissible() || pool.size() <= 1 ||
-      costs.empty()) {
-    score_range(0, static_cast<Count>(costs.size()));
-  } else {
-    parallel_chunks(pool, static_cast<Count>(costs.size()), score_range);
-  }
-  return scores;
 }
 
 }  // namespace vwsdk

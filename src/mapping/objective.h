@@ -40,8 +40,6 @@
 
 namespace vwsdk {
 
-class ThreadPool;
-
 /// Scoring strategy for candidate mappings (lower scores win).
 class Objective {
  public:
@@ -120,19 +118,6 @@ const Objective& objective_by_name(const std::string& name);
 /// Names of the built-in objectives, in presentation order:
 /// {"cycles", "energy", "edp"}.
 std::vector<std::string> objective_names();
-
-/// Index-aligned objective scores of `costs` (0.0 for infeasible
-/// entries).  Cycle-count objectives are scored inline (the lookup is
-/// trivial); activity-model objectives -- the expensive part of an
-/// energy/EDP scan -- are spread over `pool` in contiguous chunks.
-/// Either way the result depends only on the inputs, never on
-/// scheduling.  Must not be called from a task already running on
-/// `pool` (see thread_pool.h).
-std::vector<double> score_costs(const Objective& objective,
-                                const ConvShape& shape,
-                                const ArrayGeometry& geometry,
-                                const std::vector<CycleCost>& costs,
-                                ThreadPool& pool);
 
 /// Energy objective with caller-supplied constants (the built-in
 /// `energy` singleton uses the defaults).

@@ -32,12 +32,6 @@ void Crossbar::program(Dim row, Dim col, double value, NoiseModel* noise) {
   ++programmed_count_;
 }
 
-void Crossbar::erase() {
-  std::fill(cells_.begin(), cells_.end(), 0.0);
-  std::fill(programmed_.begin(), programmed_.end(), 0);
-  programmed_count_ = 0;
-}
-
 double Crossbar::cell(Dim row, Dim col) const { return cells_[index(row, col)]; }
 
 bool Crossbar::is_programmed(Dim row, Dim col) const {
@@ -68,39 +62,6 @@ std::vector<double> Crossbar::compute(const std::vector<double>& input,
     }
   }
   return output;
-}
-
-Count Crossbar::used_row_count() const {
-  Count used = 0;
-  for (Dim row = 0; row < geometry_.rows; ++row) {
-    const std::size_t base = static_cast<std::size_t>(row) *
-                             static_cast<std::size_t>(geometry_.cols);
-    for (Dim col = 0; col < geometry_.cols; ++col) {
-      if (programmed_[base + static_cast<std::size_t>(col)] != 0) {
-        ++used;
-        break;
-      }
-    }
-  }
-  return used;
-}
-
-Count Crossbar::used_col_count() const {
-  std::vector<char> seen(static_cast<std::size_t>(geometry_.cols), 0);
-  for (Dim row = 0; row < geometry_.rows; ++row) {
-    const std::size_t base = static_cast<std::size_t>(row) *
-                             static_cast<std::size_t>(geometry_.cols);
-    for (Dim col = 0; col < geometry_.cols; ++col) {
-      if (programmed_[base + static_cast<std::size_t>(col)] != 0) {
-        seen[static_cast<std::size_t>(col)] = 1;
-      }
-    }
-  }
-  Count used = 0;
-  for (const char flag : seen) {
-    used += flag;
-  }
-  return used;
 }
 
 double Crossbar::utilization() const {

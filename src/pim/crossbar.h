@@ -44,13 +44,10 @@ class Crossbar {
   /// applied at programming time, as on real hardware.
   void program(Dim row, Dim col, double value, NoiseModel* noise = nullptr);
 
-  /// Erase all cells and bookkeeping.
-  void erase();
-
   /// The stored value of a cell (zero if never programmed).
   double cell(Dim row, Dim col) const;
 
-  /// Whether a cell has been programmed since the last erase.
+  /// Whether a cell has been programmed.
   bool is_programmed(Dim row, Dim col) const;
 
   /// One computing cycle: multiply-accumulate the `input` vector (length
@@ -62,11 +59,6 @@ class Crossbar {
   /// Number of programmed cells (utilization numerator, weight-cell
   /// convention of Eq. (9)).
   Count programmed_cell_count() const { return programmed_count_; }
-
-  /// Number of distinct rows / columns containing at least one programmed
-  /// cell (the window-footprint convention's bounding measure).
-  Count used_row_count() const;
-  Count used_col_count() const;
 
   /// Fraction of programmed cells: programmed / (rows*cols).
   double utilization() const;

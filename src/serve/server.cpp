@@ -247,11 +247,12 @@ class Server {
           execute_request(api_, request, *sink);
         });
     if (!admitted) {
+      // One snapshot, so `busy` and `queued` describe the same instant.
+      const AdmissionStats load = admission_.stats();
       sink->write_line(error_response(
           request_id, ErrorCode::kOverloaded,
-          cat("admission queue full (", admission_.stats().busy,
-              " in flight, ", admission_.stats().queued,
-              " queued); retry later")));
+          cat("admission queue full (", load.busy, " in flight, ",
+              load.queued, " queued); retry later")));
     }
   }
 

@@ -32,7 +32,7 @@ struct ExecutionOptions {
   bool check_overlap_consistency = true;  ///< recomputed outputs must agree
 
   /// Reference backend verification compares the execution against: a
-  /// BackendRegistry name or alias; empty resolves through the
+  /// backend name or alias; empty resolves through the
   /// `VWSDK_REF_BACKEND` environment variable, then "gemm" (see
   /// tensor/exec_backend.h).  The "scalar" oracle is always available.
   std::string ref_backend;

@@ -17,7 +17,7 @@ Tensord reference_convolution(const MappingPlan& plan, const Tensord& ifm,
   config.pad_w = plan.shape.pad_w;
   config.pad_h = plan.shape.pad_h;
   const RefBackend& backend =
-      BackendRegistry::instance().get(resolve_ref_backend(options.ref_backend));
+      ref_backend(resolve_ref_backend(options.ref_backend));
   return backend.conv2d(ifm, weights, config, workspace);
 }
 

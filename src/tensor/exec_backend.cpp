@@ -1,159 +1,76 @@
 #include "tensor/exec_backend.h"
 
-#include <algorithm>
 #include <cstdlib>
-#include <utility>
 
 #include "common/error.h"
 #include "common/string_util.h"
+#include "tensor/gemm_backend.h"
 
 namespace vwsdk {
 
-namespace detail {
-
-// One registration anchor per built-in backend, defined in the
-// backend's own .cpp next to its implementation.  Referencing them here
-// forces the linker to pull every backend's translation unit out of the
-// static library even when nothing else names its class.
-void register_scalar_backend(BackendRegistry& registry);
-void register_gemm_backend(BackendRegistry& registry);
-
-}  // namespace detail
-
-Tensord ScalarBackend::conv2d(const Tensord& ifm, const Tensord& weights,
-                              const ConvConfig& config,
-                              ConvWorkspace* workspace) const {
-  (void)workspace;  // the scalar loop needs no scratch
-  return conv2d_direct(ifm, weights, config);
-}
-
-namespace detail {
-
-void register_scalar_backend(BackendRegistry& registry) {
-  RefBackendInfo info;
-  info.name = "scalar";
-  info.aliases = {"direct"};
-  info.description =
-      "the direct 7-deep loop of conv2d_direct -- slow, obviously "
-      "correct, the oracle every other backend is pinned against";
-  info.sort_key = 10;
-  info.instance = []() -> const RefBackend& {
-    static const ScalarBackend backend;
-    return backend;
-  };
-  registry.add(std::move(info));
-}
-
-}  // namespace detail
-
-BackendRegistry& BackendRegistry::instance() {
-  // Thread-safe static-local init: the built-ins are registered exactly
-  // once, before any caller (including a RefBackendRegistrar
-  // constructor running during static init elsewhere) sees the
-  // registry.
-  static BackendRegistry& registry = []() -> BackendRegistry& {
-    static BackendRegistry built;
-    detail::register_scalar_backend(built);
-    detail::register_gemm_backend(built);
-    return built;
-  }();
-  return registry;
-}
-
 namespace {
 
-std::string lookup_key(const std::string& name) {
-  return to_lower(trim(name));
+/// The oracle: defers to conv2d_direct (tensor/conv_ref.h).
+class ScalarBackend final : public RefBackend {
+ public:
+  Tensord conv2d(const Tensord& ifm, const Tensord& weights,
+                 const ConvConfig& config,
+                 ConvWorkspace* workspace) const override {
+    (void)workspace;  // the scalar loop needs no scratch
+    return conv2d_direct(ifm, weights, config);
+  }
+};
+
+/// The direct 7-deep loop of conv2d_direct: slow, obviously correct,
+/// the oracle every other backend is pinned against.
+const RefBackend& scalar_backend() {
+  static const ScalarBackend backend;
+  return backend;
+}
+
+/// Blocked im2col + tiled GEMM fanned out across the thread pool:
+/// bitwise identical to scalar on integer tensors, the fast default.
+const RefBackend& gemm_backend() {
+  static const GemmBackend backend;
+  return backend;
+}
+
+/// One built-in backend: canonical name, lookup alias, shared instance.
+struct BackendRow {
+  const char* name;
+  const char* alias;
+  const RefBackend& (*instance)();
+};
+
+/// Every backend, in presentation order (the oracle first).
+constexpr BackendRow kBackends[] = {
+    {"scalar", "direct", &scalar_backend},
+    {"gemm", "im2col-gemm", &gemm_backend},
+};
+
+const BackendRow& find_backend(const std::string& name) {
+  const std::string key = to_lower(trim(name));
+  for (const BackendRow& row : kBackends) {
+    if (key == row.name || key == row.alias) {
+      return row;
+    }
+  }
+  throw NotFound(cat("unknown execution backend '", name,
+                     "'; known: ", ref_backend_names()));
 }
 
 }  // namespace
 
-void BackendRegistry::add(RefBackendInfo info) {
-  VWSDK_REQUIRE(!trim(info.name).empty(),
-                "backend registration needs a name");
-  VWSDK_REQUIRE(info.instance != nullptr,
-                cat("backend \"", info.name,
-                    "\" registered without an instance function"));
-  const MutexLock lock(mutex_);
-  std::vector<std::string> keys{lookup_key(info.name)};
-  for (const std::string& alias : info.aliases) {
-    keys.push_back(lookup_key(alias));
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    VWSDK_REQUIRE(!keys[i].empty(),
-                  cat("backend \"", info.name, "\" has an empty alias"));
-    VWSDK_REQUIRE(lookup_.find(keys[i]) == lookup_.end(),
-                  cat("backend name \"", keys[i],
-                      "\" is already registered"));
-    // Also reject duplicates within this registration (an alias
-    // repeating the name, or a repeated alias) -- emplace would
-    // silently dedupe and hide the registration bug.
-    for (std::size_t j = 0; j < i; ++j) {
-      VWSDK_REQUIRE(keys[j] != keys[i],
-                    cat("backend \"", info.name, "\" lists \"", keys[i],
-                        "\" twice"));
-    }
-  }
-  infos_.push_back(std::make_unique<RefBackendInfo>(std::move(info)));
-  for (const std::string& key : keys) {
-    lookup_.emplace(key, infos_.back().get());
-  }
+const RefBackend& ref_backend(const std::string& name) {
+  return find_backend(name).instance();
 }
 
-bool BackendRegistry::contains(const std::string& name) const {
-  const MutexLock lock(mutex_);
-  return lookup_.find(lookup_key(name)) != lookup_.end();
-}
-
-const RefBackendInfo& BackendRegistry::info(const std::string& name) const {
-  const MutexLock lock(mutex_);
-  const auto it = lookup_.find(lookup_key(name));
-  if (it == lookup_.end()) {
-    throw NotFound(cat("unknown execution backend '", name,
-                       "'; known: ", join(names_locked(), ", ")));
-  }
-  return *it->second;
-}
-
-const RefBackend& BackendRegistry::get(const std::string& name) const {
-  return info(name).instance();
-}
-
-std::vector<std::string> BackendRegistry::names() const {
-  const MutexLock lock(mutex_);
-  return names_locked();
-}
-
-std::string BackendRegistry::known_names() const {
-  return join(names(), ", ");
-}
-
-Count BackendRegistry::size() const {
-  const MutexLock lock(mutex_);
-  return static_cast<Count>(infos_.size());
-}
-
-std::vector<std::string> BackendRegistry::names_locked() const {
-  std::vector<const RefBackendInfo*> ordered;
-  ordered.reserve(infos_.size());
-  for (const auto& info : infos_) {
-    ordered.push_back(info.get());
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const RefBackendInfo* a, const RefBackendInfo* b) {
-              return a->sort_key != b->sort_key ? a->sort_key < b->sort_key
-                                                : a->name < b->name;
-            });
+std::string ref_backend_names() {
   std::vector<std::string> names;
-  names.reserve(ordered.size());
-  for (const RefBackendInfo* info : ordered) {
-    names.push_back(info->name);
+  for (const BackendRow& row : kBackends) {
+    names.emplace_back(row.name);
   }
-  return names;
-}
-
-RefBackendRegistrar::RefBackendRegistrar(RefBackendInfo info) {
-  BackendRegistry::instance().add(std::move(info));
+  return join(names, ", ");
 }
 
 std::string resolve_ref_backend(const std::string& requested) {
@@ -166,9 +83,9 @@ std::string resolve_ref_backend(const std::string& requested) {
   if (name.empty()) {
     name = "gemm";
   }
-  // Canonicalize through the registry: validates (NotFound lists the
-  // known names) and maps aliases to the canonical name.
-  return BackendRegistry::instance().info(name).name;
+  // Canonicalize through the table: validates (NotFound lists the known
+  // names) and maps aliases to the canonical name.
+  return find_backend(name).name;
 }
 
 }  // namespace vwsdk

@@ -1,7 +1,6 @@
 #include "tensor/gemm_backend.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/error.h"
 #include "common/string_util.h"
@@ -135,24 +134,5 @@ Tensord GemmBackend::conv2d(const Tensord& ifm, const Tensord& weights,
   });
   return ofm;
 }
-
-namespace detail {
-
-void register_gemm_backend(BackendRegistry& registry) {
-  RefBackendInfo info;
-  info.name = "gemm";
-  info.aliases = {"im2col-gemm"};
-  info.description =
-      "blocked im2col + tiled GEMM fanned out across the thread pool -- "
-      "bitwise identical to scalar on integer tensors, the fast default";
-  info.sort_key = 20;
-  info.instance = []() -> const RefBackend& {
-    static const GemmBackend backend;
-    return backend;
-  };
-  registry.add(std::move(info));
-}
-
-}  // namespace detail
 
 }  // namespace vwsdk

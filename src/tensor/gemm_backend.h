@@ -29,7 +29,7 @@ namespace vwsdk {
 
 /// Blocked im2col + tiled GEMM convolution on an owned thread pool.
 ///
-/// The registry's shared "gemm" instance uses the default thread count;
+/// The shared "gemm" instance (ref_backend) uses the default thread count;
 /// constructing an explicit instance (the determinism tests do) pins
 /// the pool size.
 class GemmBackend : public RefBackend {

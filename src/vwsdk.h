@@ -81,8 +81,6 @@
 #include "sim/executor.h"
 #include "sim/latency_model.h"
 #include "sim/pipeline.h"
-#include "sim/reuse.h"
-#include "sim/schedule.h"
 #include "sim/traffic.h"
 #include "sim/verifier.h"
 

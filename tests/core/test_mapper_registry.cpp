@@ -68,10 +68,9 @@ TEST(MapperRegistry, CapabilitiesDescribeTheAlgorithms) {
   const MapperRegistry& registry = MapperRegistry::instance();
   EXPECT_FALSE(registry.info("im2col").capabilities.objective_aware);
   EXPECT_TRUE(registry.info("vw-sdk").capabilities.objective_aware);
-  EXPECT_TRUE(registry.info("vw-sdk").capabilities.parallel_search);
   EXPECT_FALSE(registry.info("vw-sdk").capabilities.exhaustive);
   EXPECT_TRUE(registry.info("exhaustive").capabilities.exhaustive);
-  EXPECT_FALSE(registry.info("vw-sdk-pruned").capabilities.parallel_search);
+  EXPECT_TRUE(registry.info("vw-sdk-pruned").capabilities.objective_aware);
 }
 
 TEST(MapperRegistry, SelfRegistrationViaRegistrar) {

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
 #include "core/bit_sliced_mapper.h"
 #include "core/exhaustive_mapper.h"
 #include "core/mapping_cache.h"
@@ -171,14 +170,22 @@ TEST(ObjectiveMapping, PrunedMatchesVwSdkUnderEveryObjective) {
 }
 
 TEST(ObjectiveMapping, ParallelSearchIdenticalUnderEnergy) {
+  // The across-layer fan-out must not change any decision under a
+  // non-cycle objective either.
   const VwSdkMapper mapper;
-  const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);
-  ThreadPool pool(4);
-  MappingContext sequential =
-      context_for(conv5, k512x512, energy_objective());
-  MappingContext threaded = sequential;
-  threaded.pool = &pool;
-  EXPECT_EQ(mapper.map(sequential), mapper.map(threaded));
+  OptimizerOptions sequential;
+  sequential.threads = 1;
+  sequential.objective = &energy_objective();
+  OptimizerOptions threaded = sequential;
+  threaded.threads = 4;
+  const NetworkMappingResult a =
+      optimize_network(mapper, vgg13_paper(), k512x512, sequential);
+  const NetworkMappingResult b =
+      optimize_network(mapper, vgg13_paper(), k512x512, threaded);
+  ASSERT_EQ(a.layers.size(), b.layers.size());
+  for (std::size_t i = 0; i < a.layers.size(); ++i) {
+    EXPECT_EQ(a.layers[i].decision, b.layers[i].decision) << i;
+  }
 }
 
 TEST(ObjectiveMapping, EdpRunsEndToEndThroughTheOptimizer) {

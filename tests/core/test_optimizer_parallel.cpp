@@ -1,6 +1,6 @@
 /// Concurrency determinism of the network-mapping engine: the threaded
-/// optimizer (any thread count, either fan-out mode, cached or not) must
-/// produce byte-identical MappingDecisions and cycle totals to a forced
+/// optimizer (any thread count, cached or not) must produce
+/// byte-identical MappingDecisions and cycle totals to a forced
 /// single-thread run, and the MappingCache counters must be exact.
 
 #include "core/network_optimizer.h"
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
-#include "core/search_trace.h"
 #include "core/vwsdk_mapper.h"
 #include "nn/model_zoo.h"
 
@@ -45,21 +44,6 @@ TEST(OptimizerParallel, FourThreadsMatchSingleThreadAcrossModelZoo) {
   }
 }
 
-TEST(OptimizerParallel, IntraLayerModeMatchesSingleThread) {
-  const VwSdkMapper mapper;
-  for (const char* model : {"vgg13", "alexnet", "stress"}) {
-    const Network net = model_by_name(model);
-    const NetworkMappingResult sequential = optimize_network(
-        mapper, net, k512x512, OptimizerOptions{.threads = 1});
-    OptimizerOptions options;
-    options.threads = 4;
-    options.intra_layer = true;
-    const NetworkMappingResult intra =
-        optimize_network(mapper, net, k512x512, options);
-    expect_identical(sequential, intra);
-  }
-}
-
 TEST(OptimizerParallel, ExternalPoolAndManyThreadsStayDeterministic) {
   const VwSdkMapper mapper;
   ThreadPool pool(8);
@@ -71,28 +55,6 @@ TEST(OptimizerParallel, ExternalPoolAndManyThreadsStayDeterministic) {
   for (int run = 0; run < 5; ++run) {
     expect_identical(expected,
                      optimize_network(mapper, net, k512x512, options));
-  }
-}
-
-TEST(OptimizerParallel, TracedSearchWithPoolMatchesSequentialScanOrder) {
-  const VwSdkMapper mapper;
-  const ConvShape shape = ConvShape::square(56, 3, 128, 256);
-  SearchTrace sequential_trace;
-  const MappingDecision sequential =
-      mapper.map_traced(shape, k512x512, &sequential_trace);
-  ThreadPool pool(4);
-  SearchTrace pooled_trace;
-  const MappingDecision pooled =
-      mapper.map_traced(shape, k512x512, &pooled_trace, &pool);
-  EXPECT_EQ(sequential, pooled);
-  ASSERT_EQ(sequential_trace.steps().size(), pooled_trace.steps().size());
-  for (std::size_t i = 0; i < sequential_trace.steps().size(); ++i) {
-    const SearchStep& a = sequential_trace.steps()[i];
-    const SearchStep& b = pooled_trace.steps()[i];
-    EXPECT_EQ(a.window, b.window) << "step " << i;
-    EXPECT_EQ(a.feasible, b.feasible) << "step " << i;
-    EXPECT_EQ(a.cycles, b.cycles) << "step " << i;
-    EXPECT_EQ(a.improved, b.improved) << "step " << i;
   }
 }
 
@@ -154,13 +116,11 @@ TEST(OptimizerParallel, Vgg16PaperTotalSurvivesEveryMode) {
       optimize_network(mapper, net, k512x512, OptimizerOptions{.threads = 1})
           .total_cycles();
   MappingCache cache;
-  OptimizerOptions cached_intra;
-  cached_intra.threads = 4;
-  cached_intra.intra_layer = true;
-  cached_intra.cache = &cache;
-  EXPECT_EQ(
-      optimize_network(mapper, net, k512x512, cached_intra).total_cycles(),
-      expected);
+  OptimizerOptions cached;
+  cached.threads = 4;
+  cached.cache = &cache;
+  EXPECT_EQ(optimize_network(mapper, net, k512x512, cached).total_cycles(),
+            expected);
   EXPECT_EQ(optimize_network(mapper, net, k512x512).total_cycles(),
             expected);  // default options (auto thread count)
 }

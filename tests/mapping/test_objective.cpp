@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "mapping/activity.h"
 
 namespace vwsdk {
@@ -104,28 +103,6 @@ TEST(Objective, CacheKeyDistinguishesParameterizations) {
   EXPECT_NE(EdpObjective(hot).cache_key(), EdpObjective().cache_key());
   // The key still carries the name for debuggability.
   EXPECT_EQ(custom.cache_key().rfind("energy@", 0), 0u);
-}
-
-TEST(Objective, ScoreCostsMatchesSerialScoringAtAnyPoolSize) {
-  const ConvShape shape = vgg13_conv5();
-  const std::vector<ParallelWindow> windows =
-      enumerate_windows(shape, /*include_kernel=*/true);
-  const std::vector<CycleCost> costs =
-      vw_costs(shape, k512x512, windows);
-  for (const Objective* objective :
-       {&cycles_objective(), &energy_objective(), &edp_objective()}) {
-    std::vector<double> expected;
-    for (const CycleCost& cost : costs) {
-      expected.push_back(
-          cost.feasible ? objective->score(shape, k512x512, cost) : 0.0);
-    }
-    for (const int threads : {1, 4}) {
-      ThreadPool pool(threads);
-      EXPECT_EQ(score_costs(*objective, shape, k512x512, costs, pool),
-                expected)
-          << objective->name() << " with " << threads << " threads";
-    }
-  }
 }
 
 TEST(Objective, CyclesAndEnergyDisagreeOnVgg13Conv5) {

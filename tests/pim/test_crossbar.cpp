@@ -30,15 +30,6 @@ TEST(Crossbar, DoubleProgramIsACollision) {
   EXPECT_THROW(array.program(0, 0, 2.0), InvalidArgument);
 }
 
-TEST(Crossbar, EraseResetsEverything) {
-  Crossbar array({4, 4});
-  array.program(0, 0, 1.0);
-  array.erase();
-  EXPECT_EQ(array.programmed_cell_count(), 0);
-  EXPECT_EQ(array.cell(0, 0), 0.0);
-  EXPECT_NO_THROW(array.program(0, 0, 2.0));
-}
-
 TEST(Crossbar, OutOfRangeAccessRejected) {
   Crossbar array({4, 8});
   EXPECT_THROW(array.program(4, 0, 1.0), InvalidArgument);
@@ -72,15 +63,6 @@ TEST(Crossbar, IdleRowsContributeNothing) {
   array.program(2, 0, 7.0);
   const std::vector<double> out = array.compute({0.0, 123.0, 1.0});
   EXPECT_EQ(out[0], 7.0);  // row 1 has no cell; row 0 driven with 0
-}
-
-TEST(Crossbar, UsedRowAndColCounts) {
-  Crossbar array({4, 4});
-  array.program(0, 1, 1.0);
-  array.program(0, 2, 1.0);
-  array.program(3, 1, 1.0);
-  EXPECT_EQ(array.used_row_count(), 2);
-  EXPECT_EQ(array.used_col_count(), 2);
 }
 
 TEST(Crossbar, QuantizingAdcAppliedPerColumn) {

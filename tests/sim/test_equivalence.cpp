@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/mapping_decision.h"
 #include "mapping/plan_builder.h"
 #include "sim/verifier.h"
@@ -20,9 +23,12 @@ std::ostream& operator<<(std::ostream& os, const EquivalenceCase& c) {
   return os << c.label;
 }
 
+// The mapper name is a std::string, not a const char*: gtest prints a
+// pointer parameter as its address, which would put a per-run address
+// into every listed (and ctest-discovered) test name.
 class MapperEquivalence
     : public ::testing::TestWithParam<
-          std::tuple<const char*, EquivalenceCase>> {};
+          std::tuple<std::string, EquivalenceCase>> {};
 
 TEST_P(MapperEquivalence, CrossbarMatchesReferenceConv) {
   const auto& [mapper_name, c] = GetParam();
@@ -53,8 +59,8 @@ INSTANTIATE_TEST_SUITE_P(
             EquivalenceCase{"k5", 9, 5, 3, 6, 128, 64},
             EquivalenceCase{"k1", 6, 1, 5, 7, 32, 16})),
     [](const auto& info) {
-      std::string name = std::string(std::get<0>(info.param)) + "_" +
-                         std::get<1>(info.param).label;
+      std::string name =
+          std::get<0>(info.param) + "_" + std::get<1>(info.param).label;
       for (char& c : name) {
         if (c == '-') {
           c = '_';  // gtest parameter names must be alphanumeric

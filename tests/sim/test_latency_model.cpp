@@ -91,5 +91,47 @@ TEST(LatencyModel, ToStringSummarizes) {
   EXPECT_NE(text.find("pJ"), std::string::npos);
 }
 
+// Input reuse (the paper's §I motivation for SDK-style mappings): every
+// computing cycle drives each bound row with one fetched input element,
+// so the analytic row activations are the layer's input-fetch traffic.
+Count input_fetches(const MappingDecision& decision) {
+  return analytic_activity(decision.shape, decision.geometry, decision.cost)
+      .row_activations;
+}
+
+TEST(Reuse, Im2colFetchesEachInteriorElementKernelAreaTimes) {
+  // Large IFM, small kernel, everything fits: each of the ~I^2 elements is
+  // covered by ~K^2 windows, and each window fetch drives its rows once.
+  const ConvShape shape = ConvShape::square(64, 3, 4, 8);
+  const MappingDecision decision = Im2colMapper().map(shape, k512x512);
+  // 62^2 windows x 9*4 rows / (4 * 64^2 elements) = ~8.4.
+  EXPECT_NEAR(static_cast<double>(input_fetches(decision)) / (4.0 * 64 * 64),
+              8.4, 0.1);
+}
+
+TEST(Reuse, ParallelWindowsReduceFetches) {
+  // The §I claim: SDK-style mappings reuse inputs across the duplicated
+  // kernels.  VW-SDK must fetch less than im2col on every paper layer
+  // where it forms a window.
+  const VwSdkMapper vw;
+  const Im2colMapper im2col;
+  for (const ConvShape& shape :
+       {ConvShape::square(224, 3, 3, 64), ConvShape::square(56, 3, 128, 256),
+        ConvShape::square(14, 3, 256, 256)}) {
+    const MappingDecision base = im2col.map(shape, k512x512);
+    const MappingDecision cand = vw.map(shape, k512x512);
+    ASSERT_FALSE(cand.is_im2col_fallback()) << shape.to_string();
+    EXPECT_LT(input_fetches(cand), input_fetches(base)) << shape.to_string();
+  }
+}
+
+TEST(Reuse, FallbackLayersFetchEqually) {
+  const ConvShape conv5 = ConvShape::square(7, 3, 512, 512);
+  const MappingDecision base = Im2colMapper().map(conv5, k512x512);
+  const MappingDecision cand = VwSdkMapper().map(conv5, k512x512);
+  EXPECT_GT(input_fetches(cand), 0);
+  EXPECT_EQ(input_fetches(cand), input_fetches(base));
+}
+
 }  // namespace
 }  // namespace vwsdk

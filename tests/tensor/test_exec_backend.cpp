@@ -40,62 +40,30 @@ class EnvGuard {
   std::string saved_;
 };
 
-TEST(BackendRegistry, BuiltinsAreRegistered) {
-  const BackendRegistry& registry = BackendRegistry::instance();
-  EXPECT_GE(registry.size(), 2);
-  // The oracle sorts first, the fast default second.
-  const std::vector<std::string> names = registry.names();
-  ASSERT_GE(names.size(), 2u);
-  EXPECT_EQ(names[0], "scalar");
-  EXPECT_EQ(names[1], "gemm");
-  EXPECT_TRUE(registry.contains("scalar"));
-  EXPECT_TRUE(registry.contains("gemm"));
-  // Aliases and case-insensitive lookup.
-  EXPECT_TRUE(registry.contains("direct"));
-  EXPECT_TRUE(registry.contains("im2col-gemm"));
-  EXPECT_TRUE(registry.contains("  GEMM "));
-  EXPECT_EQ(registry.info("DIRECT").name, "scalar");
+TEST(BackendTable, BuiltinsResolveByNameAndAlias) {
+  // The oracle lists first, the fast default second.
+  EXPECT_EQ(ref_backend_names(), "scalar, gemm");
+  const RefBackend& scalar = ref_backend("scalar");
+  const RefBackend& gemm = ref_backend("gemm");
+  EXPECT_NE(&scalar, &gemm);
+  // Aliases and case-insensitive, trimmed lookup reach the same shared
+  // instance.
+  EXPECT_EQ(&ref_backend("direct"), &scalar);
+  EXPECT_EQ(&ref_backend("im2col-gemm"), &gemm);
+  EXPECT_EQ(&ref_backend("  GEMM "), &gemm);
+  EXPECT_EQ(&ref_backend("DIRECT"), &scalar);
+  EXPECT_EQ(resolve_ref_backend("DIRECT"), "scalar");
 }
 
-TEST(BackendRegistry, UnknownNameThrowsListingKnown) {
-  const BackendRegistry& registry = BackendRegistry::instance();
+TEST(BackendTable, UnknownNameThrowsListingKnown) {
   try {
-    registry.get("no-such-backend");
+    (void)ref_backend("no-such-backend");
     FAIL() << "expected NotFound";
   } catch (const NotFound& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("no-such-backend"), std::string::npos);
-    EXPECT_NE(message.find("scalar"), std::string::npos);
-    EXPECT_NE(message.find("gemm"), std::string::npos);
+    EXPECT_EQ(std::string(e.what()),
+              "unknown execution backend 'no-such-backend'; known: "
+              "scalar, gemm");
   }
-}
-
-TEST(BackendRegistry, AddValidatesNamesAndDuplicates) {
-  BackendRegistry registry;
-  RefBackendInfo info;
-  info.name = "mine";
-  info.instance = []() -> const RefBackend& {
-    static const ScalarBackend backend;
-    return backend;
-  };
-  registry.add(info);
-  EXPECT_TRUE(registry.contains("MINE"));
-  // Duplicate canonical name (case-insensitive).
-  EXPECT_THROW(registry.add(info), InvalidArgument);
-  // Missing instance function.
-  RefBackendInfo broken;
-  broken.name = "broken";
-  EXPECT_THROW(registry.add(broken), InvalidArgument);
-  // An alias colliding with an existing name.
-  RefBackendInfo aliased = info;
-  aliased.name = "other";
-  aliased.aliases = {"Mine"};
-  EXPECT_THROW(registry.add(aliased), InvalidArgument);
-  // An alias repeated within one registration.
-  RefBackendInfo repeated = info;
-  repeated.name = "third";
-  repeated.aliases = {"x", "x"};
-  EXPECT_THROW(registry.add(repeated), InvalidArgument);
 }
 
 TEST(BackendResolution, ExplicitThenEnvThenDefault) {
@@ -167,7 +135,7 @@ ParityCase capped_case(const ConvLayerDesc& layer) {
 // depthwise layers included, which is exactly the shape population the
 // verification paths run.
 TEST(BackendParity, EveryZooLayerShape) {
-  const RefBackend& gemm = BackendRegistry::instance().get("gemm");
+  const RefBackend& gemm = ref_backend("gemm");
   ConvWorkspace workspace;  // shared across cases, like the pipeline
   std::set<std::string> seen;
   std::uint64_t seed = 100;
@@ -187,7 +155,7 @@ TEST(BackendParity, EveryZooLayerShape) {
 // The stride/pad/kernel sandwich the zoo does not cover, workspace
 // shared across wildly different shapes to prove resize correctness.
 TEST(BackendParity, StridePadKernelSandwich) {
-  const RefBackend& gemm = BackendRegistry::instance().get("gemm");
+  const RefBackend& gemm = ref_backend("gemm");
   ConvWorkspace workspace;
   std::uint64_t seed = 500;
   for (const Dim kernel : {1, 3, 5}) {
@@ -227,7 +195,7 @@ TEST(BackendParity, StridePadKernelSandwich) {
 // channels, convolve through both backends (gemm reusing one workspace
 // across groups), scatter into the layer OFM, compare layer-level.
 TEST(BackendParity, GroupedAndDepthwiseSlices) {
-  const RefBackend& gemm = BackendRegistry::instance().get("gemm");
+  const RefBackend& gemm = ref_backend("gemm");
   ConvWorkspace workspace;
   std::uint64_t seed = 900;
   for (const Dim groups : {2, 4, 8}) {  // 8 groups of 1 ic = depthwise

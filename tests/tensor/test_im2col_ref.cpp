@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "tensor/exec_backend.h"
 #include "tensor/tensor_ops.h"
 
@@ -84,12 +85,11 @@ TEST_P(Im2colEquivalence, AgreesWithDirect) {
   config.pad_h = c.pad;
   const Tensord direct = conv2d_direct(ifm, w, config);
   EXPECT_TRUE(exactly_equal(direct, conv2d_im2col(ifm, w, config)));
-  // Every registered execution backend must agree bitwise on the same
-  // integer tensors -- the registry's core contract.
-  const BackendRegistry& registry = BackendRegistry::instance();
-  for (const std::string& name : registry.names()) {
+  // Every execution backend must agree bitwise on the same integer
+  // tensors -- the backend table's core contract.
+  for (const std::string& name : split(ref_backend_names(), ',')) {
     EXPECT_TRUE(exactly_equal(
-        direct, registry.get(name).conv2d(ifm, w, config, nullptr)))
+        direct, ref_backend(name).conv2d(ifm, w, config, nullptr)))
         << "backend " << name;
   }
 }

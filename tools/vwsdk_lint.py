@@ -26,7 +26,7 @@ codebase documents elsewhere:
   error-codes      the wire names returned by error_code_name() in
                    src/common/error.cpp match the error-code table in
                    docs/SERVE.md exactly (both directions).
-  registry-hygiene every mapper/backend .cpp registers itself exactly
+  registry-hygiene every mapper .cpp registers itself exactly
                    once, and the linker-anchor bootstrap in the registry
                    .cpp declares and calls each anchor exactly once --
                    a silently dropped registration is invisible at
@@ -322,13 +322,11 @@ REGISTRIES = [
     # (bootstrap file, registrar-fn pattern, files that must self-register)
     ("src/core/mapper_registry.cpp", r"register_\w+_mapper",
      r"src/core/\w+_mapper\.cpp"),
-    ("src/tensor/exec_backend.cpp", r"register_\w+_backend",
-     r"src/tensor/\w+_backend\.cpp"),
 ]
 
 
 def rule_registry_hygiene(tree: dict[str, str]) -> list[Failure]:
-    """Each mapper/backend translation unit calls registry.add exactly
+    """Each mapper translation unit calls registry.add exactly
     once inside exactly one register_* anchor, and the bootstrap
     declares + calls every anchor exactly once (the linker anchor is
     what keeps a static-library registration from being dropped)."""
@@ -599,7 +597,6 @@ void register_good_mapper(MapperRegistry& registry) {
   registry.add(b);
 }
 """,
-        "src/tensor/exec_backend.cpp": "",
     }),
     ("registry-hygiene", rule_registry_hygiene, {
         "src/core/mapper_registry.cpp": """
@@ -613,7 +610,6 @@ void register_good_mapper(MapperRegistry& registry) { registry.add(a); }
         "src/core/orphan_mapper.cpp": """
 void register_orphan_mapper(MapperRegistry& registry) { registry.add(a); }
 """,
-        "src/tensor/exec_backend.cpp": "",
     }),
     ("doc-links", rule_doc_links, {
         "README.md": "see docs/CLI.md",
