@@ -17,12 +17,13 @@ std::string render_tile(const MappingPlan& plan, Dim ar, Dim ac,
   std::vector<std::string> grid(
       static_cast<std::size_t>(rows),
       std::string(static_cast<std::size_t>(cols), '.'));
-  for (const CellAssignment& cell : tile.cells) {
-    if (cell.row < rows && cell.col < cols) {
-      grid[static_cast<std::size_t>(cell.row)]
-          [static_cast<std::size_t>(cell.col)] = '#';
-    }
-  }
+  for_each_cell(plan.shape, tile,
+                [&](const RowBinding& rb, const ColBinding& cb, Dim, Dim) {
+                  if (rb.row < rows && cb.col < cols) {
+                    grid[static_cast<std::size_t>(rb.row)]
+                        [static_cast<std::size_t>(cb.col)] = '#';
+                  }
+                });
 
   std::string out = cat("tile(", ar, ",", ac, ") of ",
                         plan.geometry.to_string(), " array ('#'=weight):\n");

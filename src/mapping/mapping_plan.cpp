@@ -29,7 +29,8 @@ Cycles MappingPlan::total_cycles() const {
 Count MappingPlan::programmed_cells() const {
   Count total = 0;
   for (const ArrayTile& t : tiles) {
-    total = checked_add(total, static_cast<Count>(t.cells.size()));
+    for_each_cell(shape, t, [&total](const RowBinding&, const ColBinding&,
+                                     Dim, Dim) { ++total; });
   }
   return total;
 }

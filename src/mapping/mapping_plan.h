@@ -4,12 +4,14 @@
 /// Physical placement of a convolution onto crossbar arrays.
 ///
 /// A MappingPlan makes the analytic cost model *executable*: it spells out,
-/// for every AR x AC array programming ("tile"), exactly which weight goes
-/// into which cell, what each array row means (which input element relative
-/// to the parallel-window base), and what each array column produces (which
-/// output channel at which window position).  The functional executor
-/// (src/sim/executor.h) runs plans on real tensors; the validator
-/// (plan_validate.h) checks their structural invariants.
+/// for every AR x AC array programming ("tile"), what each array row means
+/// (which input element relative to the parallel-window base) and what
+/// each array column produces (which output channel at which window
+/// position).  Cells are not stored: which weight sits in which cell
+/// follows from the row and column bindings, by the one rule written down
+/// in for_each_cell.  The functional executor (src/sim/executor.h) runs
+/// plans on real tensors; the validator (plan_validate.h) checks their
+/// structural invariants.
 ///
 /// Coordinate conventions:
 ///  * window offsets (dy, dx) are in *padded* input pixels relative to the
@@ -45,24 +47,40 @@ struct ColBinding {
   Dim dup = 0;     ///< SMD duplicate block (0 otherwise)
 };
 
-/// One programmed cell: the weight W[oc][ic][ky][kx] at (row, col).
-struct CellAssignment {
-  Dim row = 0;
-  Dim col = 0;
-  Dim oc = 0;
-  Dim ic = 0;
-  Dim ky = 0;
-  Dim kx = 0;
-};
-
 /// One array programming: the (ar_index, ac_index) tile of the mapping.
 struct ArrayTile {
   Dim ar_index = 0;
   Dim ac_index = 0;
   std::vector<RowBinding> rows;
   std::vector<ColBinding> cols;
-  std::vector<CellAssignment> cells;
 };
+
+/// Visit every programmed cell of `tile`, column binding by column
+/// binding, each column's rows in binding order.  Row (ic, dy, dx) and
+/// column (oc, win_py, win_px) hold W[oc][ic][ky][kx] exactly when both
+/// sit in the same SMD duplicate block and
+///     dy = win_py * stride_h + ky,   dx = win_px * stride_w + kx
+/// with (ky, kx) inside the kernel (the paper's Fig. 2(c)/(d) placement;
+/// im2col and SMD columns sit at window (0, 0), so their rows name the
+/// kernel element directly).  Row offsets that match no kernel element
+/// are the structural zeros.  `fn(row_binding, col_binding, ky, kx)` is
+/// called once per cell; the visit order is the order crossbars are
+/// programmed in, and with it the order device noise is drawn in.
+template <typename Fn>
+void for_each_cell(const ConvShape& shape, const ArrayTile& tile, Fn&& fn) {
+  for (const ColBinding& cb : tile.cols) {
+    const Dim win_y = cb.win_py * shape.stride_h;
+    const Dim win_x = cb.win_px * shape.stride_w;
+    for (const RowBinding& rb : tile.rows) {
+      const Dim ky = rb.dy - win_y;
+      const Dim kx = rb.dx - win_x;
+      if (rb.dup == cb.dup && ky >= 0 && ky < shape.kernel_h && kx >= 0 &&
+          kx < shape.kernel_w) {
+        fn(rb, cb, ky, kx);
+      }
+    }
+  }
+}
 
 /// Flavor of plan layout.
 enum class PlanKind {
@@ -97,7 +115,7 @@ struct MappingPlan {
   /// base-grid positions (or SMD chunks) x tiles.
   Cycles total_cycles() const;
 
-  /// Total programmed cells across all tiles.
+  /// Total programmed cells across all tiles (counted by for_each_cell).
   Count programmed_cells() const;
 };
 

@@ -97,24 +97,6 @@ MappingPlan build_windowed_plan(const ConvShape& shape,
           }
         }
       }
-      for (Dim o = 0; o < oc_count; ++o) {
-        for (Dim wy = 0; wy < wip_h; ++wy) {
-          for (Dim wx = 0; wx < wip_w; ++wx) {
-            const Dim col = o * n_wp + wy * wip_w + wx;
-            for (Dim c = 0; c < ic_count; ++c) {
-              for (Dim ky = 0; ky < shape.kernel_h; ++ky) {
-                const Dim dy = wy * shape.stride_h + ky;
-                for (Dim kx = 0; kx < shape.kernel_w; ++kx) {
-                  const Dim dx = wx * shape.stride_w + kx;
-                  tile.cells.push_back(
-                      CellAssignment{c * area + dy * pw.w + dx, col,
-                                     oc_first + o, ic_first + c, ky, kx});
-                }
-              }
-            }
-          }
-        }
-      }
       plan.tiles.push_back(std::move(tile));
     }
   }
@@ -175,18 +157,6 @@ MappingPlan build_element_split_plan(const ConvShape& shape,
         tile.cols.push_back(ColBinding{static_cast<Dim>(flat - col_first),
                                        oc, win % wip_w, win / wip_w, 0});
       }
-      for (const ColBinding& cb : tile.cols) {
-        for (const RowBinding& rb : tile.rows) {
-          const Dim ky = rb.dy - cb.win_py * shape.stride_h;
-          const Dim kx = rb.dx - cb.win_px * shape.stride_w;
-          if (ky < 0 || ky >= shape.kernel_h || kx < 0 ||
-              kx >= shape.kernel_w) {
-            continue;  // structural zero: offset outside this window's kernel
-          }
-          tile.cells.push_back(
-              CellAssignment{rb.row, cb.col, cb.oc, rb.ic, ky, kx});
-        }
-      }
       plan.tiles.push_back(std::move(tile));
     }
   }
@@ -244,12 +214,6 @@ MappingPlan build_im2col_plan(const ConvShape& shape,
       for (Dim o = 0; o < oc_count; ++o) {
         tile.cols.push_back(ColBinding{o, oc_first + o, 0, 0, 0});
       }
-      for (const ColBinding& cb : tile.cols) {
-        for (const RowBinding& rb : tile.rows) {
-          tile.cells.push_back(CellAssignment{rb.row, cb.col, cb.oc, rb.ic,
-                                              rb.dy, rb.dx});
-        }
-      }
       plan.tiles.push_back(std::move(tile));
     }
   }
@@ -289,16 +253,6 @@ MappingPlan build_smd_plan(const ConvShape& shape,
     }
     for (Dim oc = 0; oc < shape.out_channels; ++oc) {
       tile.cols.push_back(ColBinding{col_base + oc, oc, 0, 0, dup});
-    }
-    for (Dim oc = 0; oc < shape.out_channels; ++oc) {
-      for (Count flat = 0; flat < volume; ++flat) {
-        const Dim ic = static_cast<Dim>(flat / kernel_area);
-        const Dim rem = static_cast<Dim>(flat % kernel_area);
-        tile.cells.push_back(
-            CellAssignment{row_base + static_cast<Dim>(flat), col_base + oc,
-                           oc, ic, rem / shape.kernel_w,
-                           rem % shape.kernel_w});
-      }
     }
   }
   plan.tiles.push_back(std::move(tile));

@@ -3,8 +3,9 @@
 /// @file plan_builder.h
 /// Construction of executable MappingPlans from analytic mapping choices.
 ///
-/// Layout conventions (documented here once, asserted by plan_validate,
-/// relied on by the executor):
+/// Builders emit row and column bindings only.  Layout conventions
+/// (documented here once, asserted by plan_validate, relied on by the
+/// executor):
 ///
 /// **Windowed plans** (SDK and VW-SDK; Fig. 2(c)/(d) of the paper).
 /// For AR tile `i` (channels [i*IC_t, ...)) and AC tile `j` (output
@@ -15,11 +16,9 @@
 ///        col = o * N_WP + wy * WIP_w + wx
 ///    (all windows of one output channel sit on adjacent bitlines, the
 ///    "shifted and duplicated kernel" group);
-///  * cell (row, col) holds W[oc][ic][ky][kx] iff the row's window offset
-///    matches the column's window position: dy = wy*stride + ky and
-///    dx = wx*stride + kx.  Offsets that match no kernel element stay
-///    unprogrammed -- these are the structural zeros that make SDK
-///    utilization interesting.
+///  * which cells hold weights follows from these bindings alone; the
+///    rule, structural zeros included, lives on for_each_cell
+///    (mapping_plan.h).
 ///
 /// **im2col plans** (Fig. 2(a)).  The kernel column is flattened in
 /// im2col_row_index order (ic-major, then ky, kx) and split across AR

@@ -1,8 +1,7 @@
 #include "mapping/plan_validate.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <utility>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -12,77 +11,165 @@ namespace vwsdk {
 
 namespace {
 
-void check_tile(const MappingPlan& plan, const ArrayTile& tile,
-                std::vector<std::string>& issues) {
-  const auto tile_id = cat("tile(", tile.ar_index, ",", tile.ac_index, ")");
-  const ArrayGeometry& g = plan.geometry;
-  const ConvShape& s = plan.shape;
+std::string tile_name(const ArrayTile& tile) {
+  return cat("tile(", tile.ar_index, ",", tile.ac_index, ")");
+}
 
-  std::map<Dim, const RowBinding*> rows;
-  for (const RowBinding& rb : tile.rows) {
-    if (rb.row < 0 || rb.row >= g.rows) {
-      issues.push_back(cat(tile_id, ": row ", rb.row, " outside array"));
-      continue;
-    }
-    if (!rows.emplace(rb.row, &rb).second) {
-      issues.push_back(cat(tile_id, ": duplicate row binding ", rb.row));
-    }
-  }
-  std::map<Dim, const ColBinding*> cols;
-  for (const ColBinding& cb : tile.cols) {
-    if (cb.col < 0 || cb.col >= g.cols) {
-      issues.push_back(cat(tile_id, ": col ", cb.col, " outside array"));
-      continue;
-    }
-    if (!cols.emplace(cb.col, &cb).second) {
-      issues.push_back(cat(tile_id, ": duplicate col binding ", cb.col));
-    }
-  }
-
-  std::set<std::pair<Dim, Dim>> occupied;
-  for (const CellAssignment& cell : tile.cells) {
-    if (!occupied.emplace(cell.row, cell.col).second) {
-      issues.push_back(cat(tile_id, ": cell (", cell.row, ",", cell.col,
-                           ") assigned twice"));
-    }
-    if (cell.ky < 0 || cell.ky >= s.kernel_h || cell.kx < 0 ||
-        cell.kx >= s.kernel_w) {
-      issues.push_back(cat(tile_id, ": kernel coord (", cell.ky, ",",
-                           cell.kx, ") out of range"));
-      continue;
-    }
-    const auto row_it = rows.find(cell.row);
-    const auto col_it = cols.find(cell.col);
-    if (row_it == rows.end()) {
-      issues.push_back(cat(tile_id, ": cell row ", cell.row, " unbound"));
-      continue;
-    }
-    if (col_it == cols.end()) {
-      issues.push_back(cat(tile_id, ": cell col ", cell.col, " unbound"));
-      continue;
-    }
-    const RowBinding& rb = *row_it->second;
-    const ColBinding& cb = *col_it->second;
-    if (rb.ic != cell.ic) {
-      issues.push_back(cat(tile_id, ": cell ic ", cell.ic,
-                           " != row binding ic ", rb.ic));
-    }
-    if (cb.oc != cell.oc) {
-      issues.push_back(cat(tile_id, ": cell oc ", cell.oc,
-                           " != col binding oc ", cb.oc));
-    }
-    if (rb.dup != cb.dup) {
-      issues.push_back(cat(tile_id, ": cell crosses SMD duplicates ",
-                           rb.dup, " and ", cb.dup));
-    }
-    if (rb.dy != cb.win_py * s.stride_h + cell.ky ||
-        rb.dx != cb.win_px * s.stride_w + cell.kx) {
+/// Binding indices of one tile axis must lie inside the array and be
+/// unique: two bindings of one index would put two weights in one device.
+template <typename Binding, typename IndexOf>
+void check_indices(const ArrayTile& tile,
+                   const std::vector<Binding>& bindings, Dim extent,
+                   const char* axis, IndexOf index_of,
+                   std::vector<std::string>& issues) {
+  std::vector<char> bound(static_cast<std::size_t>(extent), 0);
+  for (const Binding& binding : bindings) {
+    const Dim index = index_of(binding);
+    if (index < 0 || index >= extent) {
       issues.push_back(
-          cat(tile_id, ": cell (", cell.row, ",", cell.col,
-              ") geometry broken: row offset (", rb.dy, ",", rb.dx,
-              ") vs window (", cb.win_py, ",", cb.win_px, ") + kernel (",
-              cell.ky, ",", cell.kx, ")"));
+          cat(tile_name(tile), ": ", axis, " ", index, " outside array"));
+    } else if (std::exchange(bound[static_cast<std::size_t>(index)], 1) !=
+               0) {
+      issues.push_back(
+          cat(tile_name(tile), ": duplicate ", axis, " binding ", index));
     }
+  }
+}
+
+/// Coverage of one axis's entities: each must be bound in every tile of
+/// exactly one band, once per SMD duplicate.
+struct EntityCoverage {
+  static constexpr Dim kUnbound = -1;
+  static constexpr Dim kManyBands = -2;
+
+  EntityCoverage(Count entities, Dim duplicates)
+      : dups(duplicates),
+        band(static_cast<std::size_t>(entities), kUnbound),
+        bindings(static_cast<std::size_t>(entities), 0),
+        last_tile(static_cast<std::size_t>(checked_mul(entities, duplicates)),
+                  0) {}
+
+  /// Records a binding by tile number `tile` (1-based) of `tile_band`;
+  /// false if that tile already bound (entity, dup).
+  bool bind(Count entity, Dim dup, Dim tile_band, Count tile) {
+    const auto e = static_cast<std::size_t>(entity);
+    band[e] = (band[e] == kUnbound || band[e] == tile_band) ? tile_band
+                                                            : kManyBands;
+    ++bindings[e];
+    return std::exchange(last_tile[e * static_cast<std::size_t>(dups) +
+                                   static_cast<std::size_t>(dup)],
+                         tile) != tile;
+  }
+
+  template <typename NameOf>
+  void report(NameOf name_of, const char* band_axis, Count tiles_per_band,
+              std::vector<std::string>& issues) const {
+    const Count expected = checked_mul(tiles_per_band, dups);
+    for (std::size_t e = 0; e < band.size(); ++e) {
+      const std::string name = name_of(static_cast<Count>(e));
+      if (band[e] == kUnbound) {
+        issues.push_back(cat(name, " not mapped"));
+      } else if (band[e] == kManyBands) {
+        issues.push_back(cat(name, " mapped in several ", band_axis, " tiles"));
+      } else if (bindings[e] != expected) {
+        issues.push_back(
+            cat(name, " bound ", bindings[e], " times, expected ", expected));
+      }
+    }
+  }
+
+  Dim dups;
+  std::vector<Dim> band;
+  std::vector<Count> bindings;
+  std::vector<Count> last_tile;
+};
+
+/// A row binds the input entity (ic, dy, dx), an offset inside the plan's
+/// window (the kernel window for im2col and SMD plans); a column binds the
+/// output entity (oc, win_py, win_px).
+void check_coverage(const MappingPlan& plan,
+                    std::vector<std::string>& issues) {
+  const ConvShape& s = plan.shape;
+  const ParallelWindow& window = plan.cost.window;
+  const Count wip_w = windows_in_pw_w(s, window);
+  const Count wip_h = windows_in_pw_h(s, window);
+  const Dim dups = std::max<Dim>(1, plan.cost.smd_duplicates);
+  const Count area = window.area();
+  const Count n_wp = checked_mul(wip_w, wip_h);
+  const auto input_name = [&](Count e) {
+    return cat("input row entity (ic=", e / area, ", dy=",
+               (e % area) / window.w, ", dx=", e % window.w, ")");
+  };
+  const auto output_name = [&](Count e) {
+    return cat("output column entity (oc=", e / n_wp, ", win_py=",
+               (e % n_wp) / wip_w, ", win_px=", e % wip_w, ")");
+  };
+
+  EntityCoverage inputs(checked_mul(area, s.in_channels), dups);
+  EntityCoverage outputs(checked_mul(n_wp, s.out_channels), dups);
+  Count tile_number = 0;
+  for (const ArrayTile& tile : plan.tiles) {
+    ++tile_number;
+    for (const RowBinding& rb : tile.rows) {
+      if (rb.ic < 0 || rb.ic >= s.in_channels || rb.dy < 0 ||
+          rb.dy >= window.h || rb.dx < 0 || rb.dx >= window.w ||
+          rb.dup < 0 || rb.dup >= dups) {
+        issues.push_back(cat(tile_name(tile), ": row ", rb.row,
+                             " binds an input outside the layer"));
+        continue;
+      }
+      const Count e =
+          (static_cast<Count>(rb.ic) * window.h + rb.dy) * window.w + rb.dx;
+      if (!inputs.bind(e, rb.dup, tile.ar_index, tile_number)) {
+        issues.push_back(
+            cat(tile_name(tile), ": ", input_name(e), " bound twice"));
+      }
+    }
+    for (const ColBinding& cb : tile.cols) {
+      if (cb.oc < 0 || cb.oc >= s.out_channels || cb.win_py < 0 ||
+          cb.win_py >= wip_h || cb.win_px < 0 || cb.win_px >= wip_w ||
+          cb.dup < 0 || cb.dup >= dups) {
+        issues.push_back(cat(tile_name(tile), ": col ", cb.col,
+                             " binds an output outside the layer"));
+        continue;
+      }
+      const Count e =
+          (static_cast<Count>(cb.oc) * wip_h + cb.win_py) * wip_w + cb.win_px;
+      if (!outputs.bind(e, cb.dup, tile.ac_index, tile_number)) {
+        issues.push_back(
+            cat(tile_name(tile), ": ", output_name(e), " bound twice"));
+      }
+    }
+  }
+  inputs.report(input_name, "AR", plan.cost.ac_cycles, issues);
+  outputs.report(output_name, "AC", plan.cost.ar_cycles, issues);
+}
+
+/// The parallel-window bases along one axis must be stride-aligned, stay
+/// inside the grid of `windows` kernel windows, and together (`per_pw`
+/// windows each) cover all of it.
+void check_bases(const std::vector<Dim>& bases, Count windows, Count per_pw,
+                 Dim stride, const char* axis,
+                 std::vector<std::string>& issues) {
+  std::vector<char> covered(static_cast<std::size_t>(windows), 0);
+  for (const Dim base : bases) {
+    if (base % stride != 0) {
+      issues.push_back(cat("base ", axis, " ", base, " not stride-aligned"));
+      continue;
+    }
+    const Count first = base / stride;
+    for (Count k = 0; k < per_pw; ++k) {
+      if (first + k >= windows) {
+        issues.push_back(
+            cat("base ", axis, " ", base, " overruns the window grid"));
+        break;
+      }
+      covered[static_cast<std::size_t>(first + k)] = 1;
+    }
+  }
+  if (std::count(covered.begin(), covered.end(), 1) !=
+      static_cast<std::ptrdiff_t>(covered.size())) {
+    issues.push_back(cat("window grid not fully covered along ", axis));
   }
 }
 
@@ -104,118 +191,20 @@ std::vector<std::string> validate_plan(const MappingPlan& plan) {
   }
 
   for (const ArrayTile& tile : plan.tiles) {
-    check_tile(plan, tile, issues);
+    check_indices(tile, tile.rows, plan.geometry.rows, "row",
+                  [](const RowBinding& rb) { return rb.row; }, issues);
+    check_indices(tile, tile.cols, plan.geometry.cols, "col",
+                  [](const ColBinding& cb) { return cb.col; }, issues);
   }
-
-  // Global channel coverage: every input row entity exactly once across
-  // AR tiles; every output column entity exactly once across AC tiles.
-  // The row/column entities depend on the plan flavor:
-  //  * kWindowed:      whole input channels / whole output channels;
-  //  * kWindowedSplit: flat window elements (ic, dy, dx) / flat columns
-  //                    (oc, window);
-  //  * kIm2colDense:   flat kernel elements (ic, ky, kx) / output channels.
-  std::map<Count, std::set<Dim>> row_entity_to_ar;
-  std::map<Count, std::set<Dim>> col_entity_to_ac;
-  const ParallelWindow& window = plan.cost.window;
-  const Count n_wp_cols = (plan.kind == PlanKind::kWindowedSplit)
-                              ? windows_in_pw(s, window)
-                              : 1;
-  for (const ArrayTile& tile : plan.tiles) {
-    for (const RowBinding& rb : tile.rows) {
-      Count entity = 0;
-      if (plan.kind == PlanKind::kWindowed) {
-        entity = rb.ic;
-      } else if (plan.kind == PlanKind::kWindowedSplit) {
-        entity = (static_cast<Count>(rb.ic) * window.h + rb.dy) * window.w +
-                 rb.dx;
-      } else {
-        entity =
-            (static_cast<Count>(rb.ic) * s.kernel_h + rb.dy) * s.kernel_w +
-            rb.dx;
-      }
-      row_entity_to_ar[entity].insert(tile.ar_index);
-    }
-    for (const ColBinding& cb : tile.cols) {
-      Count entity = static_cast<Count>(cb.oc);
-      if (plan.kind == PlanKind::kWindowedSplit) {
-        entity = entity * n_wp_cols +
-                 (static_cast<Count>(cb.win_py) *
-                      windows_in_pw_w(s, window) +
-                  cb.win_px);
-      }
-      col_entity_to_ac[entity].insert(tile.ac_index);
-    }
-  }
-  const Count row_entities =
-      (plan.kind == PlanKind::kWindowed)
-          ? static_cast<Count>(s.in_channels)
-          : (plan.kind == PlanKind::kWindowedSplit)
-                ? checked_mul(window.area(), s.in_channels)
-                : s.kernel_volume();
-  for (Count entity = 0; entity < row_entities; ++entity) {
-    const auto it = row_entity_to_ar.find(entity);
-    if (it == row_entity_to_ar.end()) {
-      issues.push_back(cat("input row entity ", entity, " not mapped"));
-    } else if (it->second.size() != 1) {
-      issues.push_back(cat("input row entity ", entity, " mapped in ",
-                           it->second.size(), " AR tiles"));
-    }
-  }
-  const Count col_entities =
-      checked_mul(static_cast<Count>(s.out_channels), n_wp_cols);
-  for (Count entity = 0; entity < col_entities; ++entity) {
-    const auto it = col_entity_to_ac.find(entity);
-    if (it == col_entity_to_ac.end()) {
-      issues.push_back(cat("output column entity ", entity, " not mapped"));
-    } else if (it->second.size() != 1) {
-      issues.push_back(cat("output column entity ", entity, " mapped in ",
-                           it->second.size(), " AC tiles"));
-    }
-  }
+  check_coverage(plan, issues);
 
   // Window coverage by the base grid (SMD covers windows by construction).
   if (plan.kind != PlanKind::kSmd) {
     const ParallelWindow& pw = plan.cost.window;
-    const Count wip_w = windows_in_pw_w(s, pw);
-    const Count wip_h = windows_in_pw_h(s, pw);
-    std::vector<char> covered_x(static_cast<std::size_t>(s.windows_w()), 0);
-    for (const Dim bx : plan.base_x) {
-      if (bx % s.stride_w != 0) {
-        issues.push_back(cat("base x ", bx, " not stride-aligned"));
-        continue;
-      }
-      const Count first = bx / s.stride_w;
-      for (Count k = 0; k < wip_w; ++k) {
-        if (first + k >= s.windows_w()) {
-          issues.push_back(cat("base x ", bx, " overruns the window grid"));
-          break;
-        }
-        covered_x[static_cast<std::size_t>(first + k)] = 1;
-      }
-    }
-    std::vector<char> covered_y(static_cast<std::size_t>(s.windows_h()), 0);
-    for (const Dim by : plan.base_y) {
-      if (by % s.stride_h != 0) {
-        issues.push_back(cat("base y ", by, " not stride-aligned"));
-        continue;
-      }
-      const Count first = by / s.stride_h;
-      for (Count k = 0; k < wip_h; ++k) {
-        if (first + k >= s.windows_h()) {
-          issues.push_back(cat("base y ", by, " overruns the window grid"));
-          break;
-        }
-        covered_y[static_cast<std::size_t>(first + k)] = 1;
-      }
-    }
-    if (std::count(covered_x.begin(), covered_x.end(), 1) !=
-        static_cast<std::ptrdiff_t>(covered_x.size())) {
-      issues.emplace_back("window grid not fully covered along x");
-    }
-    if (std::count(covered_y.begin(), covered_y.end(), 1) !=
-        static_cast<std::ptrdiff_t>(covered_y.size())) {
-      issues.emplace_back("window grid not fully covered along y");
-    }
+    check_bases(plan.base_x, s.windows_w(), windows_in_pw_w(s, pw), s.stride_w,
+                "x", issues);
+    check_bases(plan.base_y, s.windows_h(), windows_in_pw_h(s, pw), s.stride_h,
+                "y", issues);
   }
 
   // Realized cycles must equal the analytic cost.

@@ -3,23 +3,26 @@
 /// @file plan_validate.h
 /// Structural invariant checking for MappingPlans.
 ///
-/// A valid plan satisfies, per tile:
+/// Plans store bindings, not cells (see for_each_cell), so every check is
+/// on the bindings.  A valid plan satisfies, per tile:
 ///  * all rows/columns lie inside the array geometry;
-///  * row / column binding indices are unique;
-///  * no cell is assigned twice (collision = two weights in one device);
-///  * every cell is consistent with its row and column bindings: the
-///    row's window offset equals the column's window position times the
-///    stride plus the cell's kernel coordinate, the channels match, and
-///    SMD duplicate indices agree;
-///  * kernel coordinates are within the kernel extent;
+///  * row / column binding indices are unique (no two weights share a
+///    device: a cell collision needs a repeated row or column index);
+///  * every row binds an input entity (ic, dy, dx) with (dy, dx) inside
+///    the plan's window (the kernel window for im2col and SMD plans), and
+///    every column an output entity (oc, win_py, win_px) with the window
+///    position inside the parallel window; SMD duplicate indices lie in
+///    [0, D);
+///  * no entity is bound twice within one SMD duplicate block;
 /// and globally:
-///  * each input channel appears in exactly one AR tile band (windowed
-///    plans) or each flattened kernel element in exactly one AR tile
-///    (im2col plans);
-///  * each output channel appears in exactly one AC tile band;
+///  * each input entity is bound in every tile of exactly one AR band,
+///    once per SMD duplicate, and each output entity likewise in exactly
+///    one AC band;
 ///  * the parallel-window base grid covers every kernel window of the
 ///    layer at least once;
 ///  * the realized cycle count equals the analytic cost.
+/// Which cell holds which weight, the kernel range and the channel match
+/// are for_each_cell's own definition, so they hold by construction.
 
 #include <string>
 #include <vector>

@@ -28,6 +28,8 @@ double fetch_input(const Tensord& ifm, const ConvShape& shape, Dim ic, Dim y,
 
 /// Write one output value, optionally checking that a recomputation (an
 /// overlapping clamped window) reproduces the committed value exactly.
+/// Noisy runs skip the check: each copy of a weight carries its own
+/// independently drawn noise, so recomputed outputs legitimately differ.
 void commit_output(Tensord& ofm, std::vector<char>& written,
                    const ConvShape& shape, Dim oc, Count oy, Count ox,
                    double value, bool check_consistency) {
@@ -74,11 +76,13 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   arrays.reserve(plan.tiles.size());
   for (const ArrayTile& tile : plan.tiles) {
     Crossbar array(plan.geometry);
-    for (const CellAssignment& cell : tile.cells) {
-      array.program(cell.row, cell.col,
-                    weights.at(cell.oc, cell.ic, cell.ky, cell.kx),
-                    noise.has_value() ? &*noise : nullptr);
-    }
+    for_each_cell(shape, tile,
+                  [&](const RowBinding& rb, const ColBinding& cb, Dim ky,
+                      Dim kx) {
+                    array.program(rb.row, cb.col,
+                                  weights.at(cb.oc, rb.ic, ky, kx),
+                                  noise.has_value() ? &*noise : nullptr);
+                  });
     arrays.push_back(std::move(array));
   }
 
@@ -101,6 +105,7 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
 
   std::vector<char> written(
       static_cast<std::size_t>(result.ofm.size()), 0);
+  const bool check_overlaps = !options.noise.enabled();
 
   const auto run_cycle = [&](const ArrayTile& tile, Count tile_index,
                              const std::vector<double>& input) {
@@ -108,9 +113,9 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
     result.activity.cycles += 1;
     result.activity.row_activations += static_cast<Count>(tile.rows.size());
     result.activity.col_reads += static_cast<Count>(tile.cols.size());
-    result.activity.cell_macs += static_cast<Count>(tile.cells.size());
-    return arrays[static_cast<std::size_t>(tile_index)].compute(input,
-                                                                options.adc);
+    const Crossbar& array = arrays[static_cast<std::size_t>(tile_index)];
+    result.activity.cell_macs += array.programmed_cell_count();
+    return array.compute(input, options.adc);
   };
 
   if (plan.kind == PlanKind::kSmd) {
@@ -146,7 +151,7 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
         const Count window = first + cb.dup;
         commit_output(result.ofm, written, shape, cb.oc, window / ow,
                       window % ow, out[static_cast<std::size_t>(cb.col)],
-                      options.check_overlap_consistency);
+                      check_overlaps);
       }
     }
   } else {
@@ -185,7 +190,7 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
             const Count ox = bx / shape.stride_w + cb.win_px;
             commit_output(result.ofm, written, shape, cb.oc, oy, ox,
                           acc[static_cast<std::size_t>(cb.col)],
-                          options.check_overlap_consistency);
+                          check_overlaps);
           }
         }
       }

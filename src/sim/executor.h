@@ -29,7 +29,6 @@ struct ExecutionOptions {
   NoiseConfig noise{};              ///< no device variation by default
   std::uint64_t noise_seed = 1;     ///< seed for the noise model
   bool validate_plan = true;        ///< run plan_validate first
-  bool check_overlap_consistency = true;  ///< recomputed outputs must agree
 
   /// Reference backend verification compares the execution against: a
   /// backend name or alias; empty resolves through the

@@ -31,9 +31,10 @@ TEST(LayoutRender, SdkLayoutHasStructuralZeroInterleave) {
   const MappingPlan plan = build_plan_for_window(shape, geometry, {4, 3});
   const ArrayTile& tile = plan.tile(0, 0);
   int programmed = 0;
-  for (const CellAssignment& cell : tile.cells) {
-    programmed += (cell.col == 0) ? 1 : 0;
-  }
+  for_each_cell(plan.shape, tile,
+                [&](const RowBinding&, const ColBinding& cb, Dim, Dim) {
+                  programmed += (cb.col == 0) ? 1 : 0;
+                });
   EXPECT_EQ(programmed, 9);  // K^2 weights in a 12-row window column
 }
 

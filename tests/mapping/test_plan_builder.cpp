@@ -28,7 +28,7 @@ TEST(PlanBuilder, WindowedPlanStructure) {
   EXPECT_EQ(plan.tiles[0].rows.size(), 48u);
   EXPECT_EQ(plan.tiles[0].cols.size(), 12u);
   // Cells: 6 oc x 2 windows x 4 ic x 9 kernel = 432.
-  EXPECT_EQ(plan.tiles[0].cells.size(), 432u);
+  EXPECT_EQ(plan.programmed_cells(), 432);
   EXPECT_TRUE(validate_plan(plan).empty());
 }
 
@@ -97,11 +97,12 @@ TEST(PlanBuilder, SmdPlanBlockDiagonal) {
   // 7 dups x 9 rows, 7 dups x 2 cols, 7 x 18 cells.
   EXPECT_EQ(plan.tiles[0].rows.size(), 63u);
   EXPECT_EQ(plan.tiles[0].cols.size(), 14u);
-  EXPECT_EQ(plan.tiles[0].cells.size(), 126u);
+  EXPECT_EQ(plan.programmed_cells(), 126);
   // Block-diagonal: dup d occupies rows [9d, 9d+9) and cols [2d, 2d+2).
-  for (const CellAssignment& cell : plan.tiles[0].cells) {
-    EXPECT_EQ(cell.row / 9, cell.col / 2);
-  }
+  for_each_cell(plan.shape, plan.tiles[0],
+                [](const RowBinding& rb, const ColBinding& cb, Dim, Dim) {
+                  EXPECT_EQ(rb.row / 9, cb.col / 2);
+                });
   EXPECT_TRUE(validate_plan(plan).empty());
 }
 

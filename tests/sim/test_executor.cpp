@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/error.h"
+#include "mapping/cost_model.h"
 #include "mapping/plan_builder.h"
 #include "sim/latency_model.h"
 #include "tensor/conv_ref.h"
@@ -152,6 +155,75 @@ TEST(Executor, NoiseIsDeterministicPerSeed) {
   const ExecutionResult a = execute_plan(plan, ifm, weights, options);
   const ExecutionResult b = execute_plan(plan, ifm, weights, options);
   EXPECT_TRUE(exactly_equal(a.ofm, b.ofm));
+}
+
+/// FNV-1a over the bit patterns of a tensor's values.
+std::uint64_t bits_hash(const Tensord& tensor) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const double value : tensor.data()) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash = (hash ^ ((bits >> (8 * byte)) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(Executor, NoiseStreamIsPinnedPerPlanKind) {
+  // Crossbar::program draws noise cell by cell, so these hashes pin the
+  // order plans are programmed in.  None of the plans clamps a base, so
+  // each output is computed once.
+  const ConvShape split_shape = ConvShape::square(10, 3, 8, 4);
+  const ArrayGeometry split_geometry{64, 16};
+  const ConvShape windowed_shape = ConvShape::square(8, 3, 9, 40);
+  const ConvShape dense_shape = ConvShape::square(6, 3, 8, 10);
+  const ConvShape smd_shape = ConvShape::square(6, 3, 1, 2);
+  const struct {
+    MappingPlan plan;
+    PlanKind kind;
+    std::uint64_t expected;
+  } cases[] = {
+      {build_windowed_plan(windowed_shape, kSmall,
+                           vw_cost(windowed_shape, kSmall, {4, 3})),
+       PlanKind::kWindowed, 10310049120845973338ULL},
+      {build_element_split_plan(
+           split_shape, split_geometry,
+           sdk_cost(split_shape, split_geometry, {4, 4})),
+       PlanKind::kWindowedSplit, 10840661043485441511ULL},
+      {build_im2col_plan(dense_shape, kSmall), PlanKind::kIm2colDense,
+       15314041013317028916ULL},
+      {build_smd_plan(smd_shape, kSmall), PlanKind::kSmd,
+       12840957270812053274ULL},
+  };
+  for (const auto& c : cases) {
+    ASSERT_EQ(c.plan.kind, c.kind);
+    const auto [ifm, weights] = sample_tensors(c.plan.shape, 11);
+    ExecutionOptions options;
+    options.noise.multiplicative_sigma = 0.03;
+    options.noise.additive_sigma = 0.02;
+    options.noise_seed = 2024;
+    const ExecutionResult result =
+        execute_plan(c.plan, ifm, weights, options);
+    EXPECT_EQ(bits_hash(result.ofm), c.expected)
+        << "plan kind " << static_cast<int>(c.kind);
+  }
+}
+
+TEST(Executor, NoisyRunWithClampedWindowsCompletes) {
+  // The 7x7 {4,3} plan clamps its last base (PlanBuilder.
+  // WindowedPlanClampedLastBaseOverlaps), so some outputs are computed by
+  // two columns holding independently noised copies of each weight.
+  const ConvShape shape = ConvShape::square(7, 3, 2, 2);
+  const MappingPlan plan =
+      build_windowed_plan(shape, kSmall, vw_cost(shape, kSmall, {4, 3}));
+  ASSERT_EQ(plan.base_x.back(), 3);
+  const auto [ifm, weights] = sample_tensors(shape, 12);
+  ExecutionOptions options;
+  options.noise.multiplicative_sigma = 0.02;
+  const ExecutionResult result = execute_plan(plan, ifm, weights, options);
+  EXPECT_EQ(result.cycles, plan.cost.total);
+  EXPECT_GT(max_abs_diff(result.ofm, conv2d_direct(ifm, weights)), 0.0);
 }
 
 TEST(Executor, ZeroInputYieldsZeroOutput) {
