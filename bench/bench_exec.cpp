@@ -10,6 +10,11 @@
 /// so a cold thread pool or scheduler hiccup cannot fail the gate
 /// spuriously.  Parity and thread-count determinism are re-checked here
 /// so the perf baseline also pins correctness.
+///
+/// A second section runs the same layer through the crossbar executor
+/// (`execute_plan` on its vw-sdk plan at 512x512): it pins the executed
+/// cycles of Table I's 4x4x32x64 mapping (1458), checks the OFM EXACT
+/// against gemm, and times the best of three runs.
 
 #include <algorithm>
 #include <chrono>
@@ -17,6 +22,9 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "core/mapper_registry.h"
+#include "mapping/plan_builder.h"
+#include "sim/executor.h"
 #include "tensor/exec_backend.h"
 #include "tensor/gemm_backend.h"
 #include "tensor/tensor_ops.h"
@@ -79,6 +87,27 @@ int main() {
       "gemm at least 5x faster than scalar on the largest verification "
       "case",
       speedup >= 5.0);
+
+  reporter.section("Crossbar execution -- ResNet-18 conv2, vw-sdk 512x512");
+  const ConvShape shape = ConvShape::square(56, 3, 64, 64);
+  const ArrayGeometry geometry{512, 512};
+  const MappingPlan plan = build_plan_for_cost(
+      shape, geometry, make_mapper("vw-sdk")->map(shape, geometry).cost);
+  ExecutionOptions options;
+  options.validate_plan = false;  // time the execution alone
+  double exec_ms = 0.0;
+  ExecutionResult executed;
+  for (int run = 0; run < 3; ++run) {
+    const Clock::time_point exec_start = Clock::now();
+    executed = execute_plan(plan, ifm, weights, options);
+    const double ms = ms_since(exec_start);
+    exec_ms = run == 0 ? ms : std::min(exec_ms, ms);
+  }
+  reporter.expect_eq("execute_plan cycles (Table I mapping 4x4x32x64)",
+                     1458, executed.cycles);
+  reporter.expect_true("execute_plan OFM EXACT against gemm",
+                       exactly_equal(executed.ofm, fast));
+  reporter.report_value("execute_plan wall ms (best of 3)", exec_ms);
 
   return reporter.finish();
 }

@@ -1,5 +1,6 @@
 #include "serve/admission.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
@@ -13,15 +14,19 @@ AdmissionQueue::AdmissionQueue(int max_inflight, int max_queue)
                 cat("max_inflight must be >= 1 (got ", max_inflight, ")"));
   VWSDK_REQUIRE(max_queue >= 0,
                 cat("max_queue must be >= 0 (got ", max_queue, ")"));
+  wake_ = std::vector<CondVar>(static_cast<std::size_t>(max_inflight));
   workers_.reserve(static_cast<std::size_t>(max_inflight));
+  const MutexLock lock(mutex_);
   for (int i = 0; i < max_inflight; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    idle_workers_.push_back(i);
+    workers_.emplace_back([this, i] { worker_loop(i); });
   }
 }
 
 AdmissionQueue::~AdmissionQueue() { drain(); }
 
 bool AdmissionQueue::try_submit(std::function<void()> task) {
+  int worker = -1;
   {
     const MutexLock lock(mutex_);
     const int outstanding = static_cast<int>(queue_.size()) + busy_;
@@ -31,8 +36,14 @@ bool AdmissionQueue::try_submit(std::function<void()> task) {
     }
     ++accepted_;
     queue_.push(std::move(task));
+    if (!idle_workers_.empty()) {
+      worker = idle_workers_.back();
+      idle_workers_.pop_back();
+    }
   }
-  ready_.notify_one();
+  if (worker >= 0) {
+    wake_[static_cast<std::size_t>(worker)].notify_one();
+  }
   return true;
 }
 
@@ -46,7 +57,9 @@ void AdmissionQueue::drain() {
       idle_.wait(mutex_);
     }
   }
-  ready_.notify_all();
+  for (CondVar& wake : wake_) {
+    wake.notify_all();
+  }
   for (std::thread& worker : workers_) {
     if (worker.joinable()) {
       worker.join();
@@ -64,16 +77,22 @@ AdmissionStats AdmissionQueue::stats() const {
   return stats;
 }
 
-void AdmissionQueue::worker_loop() {
+void AdmissionQueue::worker_loop(int id) {
+  CondVar& wake = wake_[static_cast<std::size_t>(id)];
   while (true) {
     std::function<void()> task;
     {
       const MutexLock lock(mutex_);
-      while (!draining_ && queue_.empty()) {
-        ready_.wait(mutex_);
-      }
-      if (queue_.empty()) {
-        return;  // draining and nothing left to run
+      // A worker on the idle stack runs nothing until a submit pops it; a
+      // popped one, or one just done with more work queued, takes a task.
+      while (queue_.empty() || std::ranges::count(idle_workers_, id) != 0) {
+        if (draining_ && queue_.empty()) {
+          return;  // draining and nothing left to run
+        }
+        if (std::ranges::count(idle_workers_, id) == 0) {
+          idle_workers_.push_back(id);  // popped, but the task went first
+        }
+        wake.wait(mutex_);
       }
       task = std::move(queue_.front());
       queue_.pop();
@@ -82,8 +101,13 @@ void AdmissionQueue::worker_loop() {
     task();  // task() catches its own exceptions (server.cpp); a throw
              // here would terminate, which the dispatch wrapper prevents
     {
+      // Idle again, on top of the stack, in the same critical section
+      // that drops busy_: a submit that sees busy_ == 0 wakes this worker.
       const MutexLock lock(mutex_);
       --busy_;
+      if (queue_.empty()) {
+        idle_workers_.push_back(id);
+      }
     }
     idle_.notify_all();
   }

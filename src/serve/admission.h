@@ -7,11 +7,15 @@
 /// answers `overloaded`) rather than queued without limit or blocked --
 /// the daemon stays responsive no matter how fast a client writes.
 ///
-/// These workers only parse, dispatch, and serialize; the heavy mapping
-/// searches fan out into the ServiceApi's own ThreadPool underneath.
-/// Keeping the two pools separate preserves the pool's non-reentrancy
-/// contract (common/thread_pool.h): a request worker may block on pool
-/// futures, a pool task never blocks on another.
+/// A worker runs its whole request, for `verify` the plan build and
+/// crossbar execution too; only mapping searches and the reference
+/// convolution fan out into their own pools.  Keeping the pools separate
+/// preserves the pool's non-reentrancy contract (common/thread_pool.h).
+///
+/// A submit wakes the most recently idle worker (LIFO).  Each worker
+/// thread has its own glibc malloc arena, which keeps freed memory below
+/// the trim threshold; FIFO wake-ups would leave a verify's working set
+/// resident in every worker's arena, LIFO keeps one arena warm.
 
 #include <functional>
 #include <queue>
@@ -61,14 +65,17 @@ class AdmissionQueue {
   AdmissionStats stats() const VWSDK_EXCLUDES(mutex_);
 
  private:
-  void worker_loop() VWSDK_EXCLUDES(mutex_);
+  void worker_loop(int id) VWSDK_EXCLUDES(mutex_);
 
   const int max_inflight_;
   const int max_queue_;
   std::vector<std::thread> workers_;
+  /// One wake-up per worker, so a submit can pick which worker runs.
+  std::vector<CondVar> wake_;
   std::queue<std::function<void()>> queue_ VWSDK_GUARDED_BY(mutex_);
+  /// Idle worker ids, the most recently idle on top (back).
+  std::vector<int> idle_workers_ VWSDK_GUARDED_BY(mutex_);
   mutable Mutex mutex_;
-  CondVar ready_;
   CondVar idle_;
   int busy_ VWSDK_GUARDED_BY(mutex_) = 0;
   Count accepted_ VWSDK_GUARDED_BY(mutex_) = 0;

@@ -3,11 +3,14 @@
 /// @file executor.h
 /// Functional execution of a MappingPlan on crossbar arrays.
 ///
-/// The executor programs one Crossbar per (AR, AC) tile, then walks the
-/// cycle schedule: each cycle drives the rows with the input-feature-map
-/// values the plan's row bindings name, performs the analog MVM, applies
-/// the ADC model, and scatters the column read-outs into the output
-/// feature map (accumulating partial sums across AR tiles).
+/// The executor is tile-major: it programs each (AR, AC) tile once, in
+/// plan order (noise drawn in for_each_cell order), into a block of its
+/// bound rows x columns, then runs every parallel-window base through it
+/// as one computing cycle each: drive the rows, sum each column over its
+/// rows in ascending order, convert each read-out with the ADC, and add
+/// it into a per-AC-band accumulator in ascending AR order.  Outputs are
+/// committed at the end.  Scratch is one tile block plus O(output)
+/// accumulators; for finite inputs the OFM bits equal a dense crossbar's.
 ///
 /// This is the strongest form of evidence a mapping can get in software:
 /// if the plan (placement, schedule, tiling) is wrong in any way, the

@@ -41,7 +41,6 @@
 
 #include "pim/adc.h"
 #include "pim/array_geometry.h"
-#include "pim/crossbar.h"
 #include "pim/energy_model.h"
 #include "pim/noise.h"
 

@@ -106,6 +106,30 @@ TEST(Admission, StatsSettleAfterDrain) {
   EXPECT_EQ(stats.accepted, 6);
 }
 
+TEST(Admission, SequentialSubmitsReuseTheMostRecentlyIdleWorker) {
+  // LIFO handoff: with one request at a time, the worker that just went
+  // idle runs the next one, whatever --max-inflight is, so only one
+  // worker's malloc arena stays warm.
+  AdmissionQueue queue(8, 0);
+  std::vector<std::thread::id> ran_on;
+  for (int i = 0; i < 50; ++i) {
+    Gate done;
+    ASSERT_TRUE(queue.try_submit([&] {
+      ran_on.push_back(std::this_thread::get_id());
+      done.open();
+    }));
+    done.wait();
+    while (queue.stats().busy != 0) {
+      std::this_thread::yield();
+    }
+  }
+  queue.drain();
+  ASSERT_EQ(ran_on.size(), 50u);
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, ran_on.front());
+  }
+}
+
 // ---------------------------------------------------------------------
 // Contention cases (ctest label `stress`).
 // ---------------------------------------------------------------------

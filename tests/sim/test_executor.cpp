@@ -171,9 +171,9 @@ std::uint64_t bits_hash(const Tensord& tensor) {
 }
 
 TEST(Executor, NoiseStreamIsPinnedPerPlanKind) {
-  // Crossbar::program draws noise cell by cell, so these hashes pin the
-  // order plans are programmed in.  None of the plans clamps a base, so
-  // each output is computed once.
+  // Tiles draw noise cell by cell as they are programmed, so these
+  // hashes pin the order plans are programmed in.  None of the plans
+  // clamps a base, so each output is computed once.
   const ConvShape split_shape = ConvShape::square(10, 3, 8, 4);
   const ArrayGeometry split_geometry{64, 16};
   const ConvShape windowed_shape = ConvShape::square(8, 3, 9, 40);
@@ -224,6 +224,112 @@ TEST(Executor, NoisyRunWithClampedWindowsCompletes) {
   const ExecutionResult result = execute_plan(plan, ifm, weights, options);
   EXPECT_EQ(result.cycles, plan.cost.total);
   EXPECT_GT(max_abs_diff(result.ofm, conv2d_direct(ifm, weights)), 0.0);
+}
+
+// --- One tile's crossbar behaviour, through execute_plan. -------------
+
+/// A 1x1-kernel layer on a 1x1 image: im2col puts input channel c on row
+/// c and output channel o on column o, so the layer is one crossbar
+/// matrix-vector product per AR tile.
+MappingPlan pointwise_plan(Dim in_channels, Dim out_channels,
+                           ArrayGeometry geometry) {
+  return build_im2col_plan(
+      ConvShape::square(1, 1, in_channels, out_channels), geometry);
+}
+
+TEST(Executor, ComputesTheTileMatrixVectorProduct) {
+  const MappingPlan plan = pointwise_plan(2, 3, {4, 4});
+  Tensord ifm = Tensord::feature_map(2, 1, 1);
+  ifm.at(0, 0, 0) = 2.0;
+  ifm.at(1, 0, 0) = 3.0;
+  Tensord weights = Tensord::weights(3, 2, 1, 1);
+  weights.at(0, 0, 0, 0) = 1.0;
+  weights.at(1, 0, 0, 0) = 2.0;
+  weights.at(1, 1, 0, 0) = -1.0;
+  weights.at(2, 1, 0, 0) = 4.0;
+  const ExecutionResult result = execute_plan(plan, ifm, weights);
+  EXPECT_EQ(result.ofm.at(0, 0, 0), 2.0);   // 2*1
+  EXPECT_EQ(result.ofm.at(1, 0, 0), 1.0);   // 2*2 + 3*(-1)
+  EXPECT_EQ(result.ofm.at(2, 0, 0), 12.0);  // 3*4
+  EXPECT_EQ(result.cycles, 1);
+}
+
+TEST(Executor, ProgrammedCellsAndUtilizationCountEveryBoundCell) {
+  // 2 x 3 cells on a 4 x 4 array, zero-valued weights included.
+  const MappingPlan plan = pointwise_plan(2, 3, {4, 4});
+  const Tensord ifm = Tensord::feature_map(2, 1, 1);
+  const Tensord weights = Tensord::weights(3, 2, 1, 1);
+  const ExecutionResult result = execute_plan(plan, ifm, weights);
+  EXPECT_EQ(result.arrays_used, 1);
+  EXPECT_EQ(result.programmed_cells, 6);
+  EXPECT_EQ(result.activity.cell_macs, 6);
+  EXPECT_DOUBLE_EQ(result.min_tile_utilization, 6.0 / 16.0);
+  EXPECT_DOUBLE_EQ(result.mean_tile_utilization, 6.0 / 16.0);
+}
+
+TEST(Executor, RepeatedRowOrColumnIndexIsACollision) {
+  ExecutionOptions options;
+  options.validate_plan = false;  // the executor must object by itself
+  const auto [ifm, weights] = sample_tensors(sample_plan().shape, 13);
+
+  MappingPlan rows = sample_plan();
+  rows.tiles[1].rows[1].row = rows.tiles[1].rows[0].row;
+  EXPECT_THROW(execute_plan(rows, ifm, weights, options), InvalidArgument);
+
+  MappingPlan cols = sample_plan();
+  cols.tiles[2].cols.back().col = cols.tiles[2].cols.front().col;
+  EXPECT_THROW(execute_plan(cols, ifm, weights, options), InvalidArgument);
+}
+
+TEST(Executor, BindingOutsideTheArrayIsRejected) {
+  ExecutionOptions options;
+  options.validate_plan = false;
+  const auto [ifm, weights] = sample_tensors(sample_plan().shape, 14);
+  for (const Dim row : {Dim{-1}, kSmall.rows}) {
+    MappingPlan plan = sample_plan();
+    plan.tiles[0].rows[0].row = row;
+    EXPECT_THROW(execute_plan(plan, ifm, weights, options), InvalidArgument)
+        << "row " << row;
+  }
+  for (const Dim col : {Dim{-1}, kSmall.cols}) {
+    MappingPlan plan = sample_plan();
+    plan.tiles[0].cols[0].col = col;
+    EXPECT_THROW(execute_plan(plan, ifm, weights, options), InvalidArgument)
+        << "col " << col;
+  }
+}
+
+TEST(Executor, AdcAppliedPerColumnBeforeArAccumulation) {
+  // One array row: each input channel is its own AR tile, and each tile's
+  // column read-out is quantized before the AR partial sums are added.
+  const MappingPlan plan = pointwise_plan(2, 2, {1, 4});
+  ASSERT_EQ(plan.cost.ar_cycles, 2);
+  Tensord ifm = Tensord::feature_map(2, 1, 1);
+  ifm.fill(2.7);
+  Tensord weights = Tensord::weights(2, 2, 1, 1);
+  weights.fill(1.0);
+  ExecutionOptions options;
+  options.adc = ConverterModel(3, 0.0, 8.0);  // step 1: 2.7 -> 2.0
+  const ExecutionResult result = execute_plan(plan, ifm, weights, options);
+  // 2 + 2 per column, not ADC(2.7 + 2.7) = 5.
+  EXPECT_EQ(result.ofm.at(0, 0, 0), 4.0);
+  EXPECT_EQ(result.ofm.at(1, 0, 0), 4.0);
+}
+
+TEST(Executor, IdleRowsContributeNothing) {
+  // 5x5 k3 gives 9 windows; the SMD plan holds D = 2 duplicates, so the
+  // final chunk drives only duplicate 0 and duplicate 1's rows sit idle.
+  // Every row driven 0 or left idle must leave the read-outs exact.
+  const ConvShape shape = ConvShape::square(5, 3, 1, 2);
+  const MappingPlan plan = build_smd_plan(shape, {20, 4});
+  ASSERT_EQ(plan.cost.smd_duplicates, 2);
+  Rng rng(15);
+  Tensord ifm = Tensord::feature_map(1, 5, 5);
+  fill_random_int(ifm, rng, 1000);
+  Tensord weights = Tensord::weights(2, 1, 3, 3);
+  fill_random_int(weights, rng, 4);
+  const ExecutionResult result = execute_plan(plan, ifm, weights);
+  EXPECT_TRUE(exactly_equal(result.ofm, conv2d_direct(ifm, weights)));
 }
 
 TEST(Executor, ZeroInputYieldsZeroOutput) {
