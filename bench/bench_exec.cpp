@@ -22,11 +22,11 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/mapper_registry.h"
 #include "mapping/plan_builder.h"
 #include "sim/executor.h"
 #include "tensor/exec_backend.h"
-#include "tensor/gemm_backend.h"
 #include "tensor/tensor_ops.h"
 
 namespace {
@@ -54,6 +54,9 @@ int main() {
 
   const RefBackend& scalar = ref_backend("scalar");
   const RefBackend& gemm = ref_backend("gemm");
+  // The gemm backend fans out over the caller's pool, sized as the
+  // service sizes its own (VWSDK_THREADS, then the hardware).
+  ThreadPool pool;
 
   const Clock::time_point scalar_start = Clock::now();
   const Tensord oracle = scalar.conv2d(ifm, weights, config, nullptr);
@@ -64,19 +67,19 @@ int main() {
   Tensord fast;
   for (int run = 0; run < 3; ++run) {
     const Clock::time_point gemm_start = Clock::now();
-    fast = gemm.conv2d(ifm, weights, config, &workspace);
+    fast = gemm.conv2d(ifm, weights, config, &workspace, &pool);
     const double ms = ms_since(gemm_start);
     gemm_ms = run == 0 ? ms : std::min(gemm_ms, ms);
   }
   reporter.expect_true("gemm OFM bitwise-identical to the scalar oracle",
                        exactly_equal(oracle, fast));
 
-  const GemmBackend gemm_1(1);
-  const GemmBackend gemm_16(16);
+  ThreadPool pool_1(1);
+  ThreadPool pool_16(16);
   reporter.expect_true(
       "gemm OFM identical across 1 and 16 worker threads",
-      exactly_equal(gemm_1.conv2d(ifm, weights, config, nullptr),
-                    gemm_16.conv2d(ifm, weights, config, nullptr)));
+      exactly_equal(gemm.conv2d(ifm, weights, config, nullptr, &pool_1),
+                    gemm.conv2d(ifm, weights, config, nullptr, &pool_16)));
 
   reporter.section("Wall-clock speedup");
   reporter.report_value("scalar reference wall ms", scalar_ms);

@@ -41,7 +41,7 @@ int main() {
 
   const auto sweep = [&](const Objective& objective) {
     OptimizerOptions options;
-    options.threads = 1;  // wall time measures the search, not the pool
+    // No pool: wall time measures the search on the calling thread.
     options.objective = &objective;
     std::vector<NetworkMappingResult> results;
     for (const std::string& name : model_names()) {

@@ -84,7 +84,7 @@ int main() {
     seq_totals.clear();
     for (const Network& net : zoo) {
       seq_totals.push_back(
-          optimize_network(*vw, net, kGeometry, OptimizerOptions{.threads = 1})
+          optimize_network(*vw, net, kGeometry, OptimizerOptions{})
               .total_cycles());
     }
   });
@@ -116,7 +116,6 @@ int main() {
     const Network net = vgg16();
     MappingCache cache;
     OptimizerOptions options;
-    options.threads = 1;
     options.cache = &cache;
     const NetworkMappingResult cold =
         optimize_network(*vw, net, kGeometry, options);

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <set>
@@ -123,49 +124,98 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_chunks(ThreadPool& pool, Count n,
+namespace {
+
+/// The shared state of one parallel_chunks call.  Helper tasks hold it
+/// by shared_ptr, so a helper that only starts after the call returned
+/// still finds a valid cursor; `fn` is touched only for a claimed chunk,
+/// and the caller does not return before every claimed chunk finished.
+struct ChunkRun {
+  ChunkRun(const std::function<void(Count, Count)>& body, Count total,
+           Count width)
+      : fn(&body),
+        n(total),
+        chunk(width),
+        chunks(ceil_div(total, width)),
+        first_failed(chunks) {}
+
+  /// Claim chunks in index order and run them until none is left.
+  void work() VWSDK_EXCLUDES(mutex) {
+    for (Count index = next.fetch_add(1); index < chunks;
+         index = next.fetch_add(1)) {
+      const Count begin = index * chunk;
+      std::exception_ptr error;
+      try {
+        (*fn)(begin, std::min(begin + chunk, n));
+      } catch (...) {
+        error = std::current_exception();
+      }
+      bool last = false;
+      {
+        const MutexLock lock(mutex);
+        if (error && index < first_failed) {
+          first_failed = index;
+          first_error = error;
+        }
+        last = ++finished == chunks;
+      }
+      if (last) {
+        done.notify_one();
+      }
+    }
+  }
+
+  /// Block until every chunk has finished; the first failed chunk's
+  /// exception, or null.
+  std::exception_ptr wait() VWSDK_EXCLUDES(mutex) {
+    const MutexLock lock(mutex);
+    while (finished < chunks) {
+      done.wait(mutex);
+    }
+    return first_error;
+  }
+
+  const std::function<void(Count, Count)>* fn;
+  const Count n;
+  const Count chunk;
+  const Count chunks;
+  std::atomic<Count> next{0};
+  Mutex mutex;
+  CondVar done;
+  Count finished VWSDK_GUARDED_BY(mutex) = 0;
+  Count first_failed VWSDK_GUARDED_BY(mutex);  ///< chunks = none failed
+  std::exception_ptr first_error VWSDK_GUARDED_BY(mutex);
+};
+
+}  // namespace
+
+void parallel_chunks(ThreadPool* pool, Count n,
                      const std::function<void(Count, Count)>& fn) {
   if (n <= 0) {
     return;
   }
-  const Count workers = pool.size();
+  if (pool == nullptr) {
+    fn(0, n);
+    return;
+  }
   // Several chunks per worker keeps uneven chunk costs from leaving
-  // workers idle at the tail of the range.
-  const Count target_chunks = std::min<Count>(n, workers * 4);
-  const Count chunk = ceil_div(n, target_chunks);
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<std::size_t>(target_chunks));
+  // threads idle at the tail of the range.
+  const Count target_chunks = std::min<Count>(n, Count{pool->size()} * 4);
+  const auto run =
+      std::make_shared<ChunkRun>(fn, n, ceil_div(n, target_chunks));
+  // The caller takes chunks too, so at most chunks - 1 helpers can help.
+  const Count helpers = std::min<Count>(pool->size(), run->chunks - 1);
   try {
-    for (Count begin = 0; begin < n; begin += chunk) {
-      const Count end = std::min<Count>(begin + chunk, n);
-      futures.push_back(
-          pool.submit([&fn, begin, end]() { fn(begin, end); }));
+    for (Count h = 0; h < helpers; ++h) {
+      (void)pool->submit([run]() { run->work(); });
     }
   } catch (...) {
-    // submit() failed mid-loop (e.g. bad_alloc).  Already-enqueued
-    // chunks hold references to `fn` and the caller's captures; drain
-    // them before unwinding destroys what they point at.
-    for (std::future<void>& future : futures) {
-      try {
-        future.get();
-      } catch (...) {
-        // The caller sees the submit failure; chunk errors are moot.
-      }
-    }
-    throw;
+    // submit() failed partway (e.g. bad_alloc): the caller runs every
+    // chunk the helpers already submitted do not take.
   }
-  std::exception_ptr first_error;
-  for (std::future<void>& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) {
-        first_error = std::current_exception();
-      }
-    }
-  }
-  if (first_error) {
-    std::rethrow_exception(first_error);
+  run->work();
+  if (const std::exception_ptr error = run->wait()) {
+    std::rethrow_exception(error);
   }
 }
 

@@ -7,14 +7,19 @@
 /// Design notes:
 ///  * Tasks are submitted with `submit()` and return a `std::future`;
 ///    exceptions thrown by a task propagate through the future.
-///  * The pool is *non-reentrant*: a task must never block on the future
-///    of another task submitted to the same pool (with every worker
-///    occupied such a wait can never be satisfied).  The network
-///    optimizer therefore uses the pool at exactly one level at a time --
-///    either across layers or across window candidates, never nested.
-///  * `parallel_chunks()` is the bulk primitive the mapping code uses:
-///    split an index range into contiguous chunks, run them on the pool,
-///    and block until all complete (rethrowing the first task exception).
+///  * `submit()` followed by `get()` from inside a task is *not*
+///    re-entrant: with every worker occupied, that wait can never be
+///    satisfied.
+///  * `parallel_chunks()` is the bulk primitive every fan-out uses: it
+///    splits an index range into contiguous chunks that the pool's
+///    workers *and the calling thread* claim from a shared cursor, and
+///    blocks until all complete (rethrowing the first chunk exception).
+///    Because the caller works through the chunks itself, it is
+///    re-entrant: a chunk may call parallel_chunks on the same pool,
+///    and concurrent callers never wait behind each other's chunks
+///    with nothing to do.
+///  * A `ThreadPool*` that is nullptr means "run on the calling thread";
+///    only the service facade (serve/service.h) owns a pool.
 ///
 /// Thread count resolution (`default_thread_count`): the `VWSDK_THREADS`
 /// environment variable when set to a positive integer, otherwise
@@ -83,11 +88,13 @@ class ThreadPool {
   bool stopping_ VWSDK_GUARDED_BY(mutex_) = false;
 };
 
-/// Run `fn(begin, end)` over [0, n) split into contiguous chunks spread
-/// across the pool; blocks until every chunk finishes.  The first chunk
-/// exception (in chunk order) is rethrown after all chunks complete.
-/// Must not be called from inside a task running on the same pool.
-void parallel_chunks(ThreadPool& pool, Count n,
+/// Run `fn(begin, end)` over [0, n) split into contiguous chunks, which
+/// the calling thread and the workers of `pool` claim in index order;
+/// blocks until every chunk finishes.  The first chunk exception (in
+/// chunk order) is rethrown after all chunks complete.  A nullptr `pool`
+/// runs `fn(0, n)` on the calling thread.  Safe to call from inside a
+/// chunk running on the same pool.
+void parallel_chunks(ThreadPool* pool, Count n,
                      const std::function<void(Count begin, Count end)>& fn);
 
 }  // namespace vwsdk

@@ -1,6 +1,5 @@
 #include "core/network_optimizer.h"
 
-#include <memory>
 #include <utility>
 
 #include "common/error.h"
@@ -42,26 +41,6 @@ Cycles NetworkMappingResult::layer_cycles(Count index) const {
 
 namespace {
 
-/// Worker count an options struct resolves to (pool size wins, then
-/// explicit threads, then VWSDK_THREADS / hardware).
-int resolve_threads(const OptimizerOptions& options) {
-  return options.pool != nullptr
-             ? options.pool->size()
-             : ThreadPool::resolve_thread_count(options.threads);
-}
-
-/// The pool to run on: the caller's, or a freshly created one parked in
-/// `owned` so it outlives the fan-out.
-ThreadPool* borrow_or_create_pool(const OptimizerOptions& options,
-                                  int threads,
-                                  std::unique_ptr<ThreadPool>& owned) {
-  if (options.pool != nullptr) {
-    return options.pool;
-  }
-  owned = std::make_unique<ThreadPool>(threads);
-  return owned.get();
-}
-
 /// The shape a layer's mapper actually searches: the full convolution for
 /// dense layers, one group's sub-convolution (IC/G -> OC/G) for grouped
 /// layers -- groups are identical and mapped independently, so the layer
@@ -102,34 +81,19 @@ NetworkMappingResult optimize_network(const Mapper& mapper,
   geometry.validate();
 
   const std::vector<ConvLayerDesc>& layers = network.layers();
-  const int threads = resolve_threads(options);
-
-  // Declaration order matters for exception safety: `decisions` must
-  // outlive the owned pool (its destructor finishes in-flight tasks that
-  // write into `decisions`).
+  // Fan layers out across the pool (nullptr: the calling thread, in
+  // order); slot `i` of `decisions` belongs to layer `i`, so the result
+  // order is the network order regardless of completion order.
   std::vector<MappingDecision> decisions(layers.size());
-  std::unique_ptr<ThreadPool> owned_pool;
-
-  if (threads > 1 && layers.size() > 1) {
-    // Fan layers out across the pool; slot `i` of `decisions` belongs to
-    // layer `i`, so the result order is the network order regardless of
-    // completion order.
-    ThreadPool* pool = borrow_or_create_pool(options, threads, owned_pool);
-    parallel_chunks(*pool, static_cast<Count>(layers.size()),
-                    [&](Count begin, Count end) {
-                      for (Count i = begin; i < end; ++i) {
-                        const auto index = static_cast<std::size_t>(i);
-                        decisions[index] =
-                            map_layer(mapper, mapping_shape(layers[index]),
-                                      geometry, options);
-                      }
-                    });
-  } else {
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-      decisions[i] =
-          map_layer(mapper, mapping_shape(layers[i]), geometry, options);
-    }
-  }
+  parallel_chunks(options.pool, static_cast<Count>(layers.size()),
+                  [&](Count begin, Count end) {
+                    for (Count i = begin; i < end; ++i) {
+                      const auto index = static_cast<std::size_t>(i);
+                      decisions[index] =
+                          map_layer(mapper, mapping_shape(layers[index]),
+                                    geometry, options);
+                    }
+                  });
 
   NetworkMappingResult result;
   result.network_name = network.name();
@@ -185,21 +149,12 @@ NetworkComparison compare_mappers(const std::vector<std::string>& mapper_names,
                                   const OptimizerOptions& options) {
   VWSDK_REQUIRE(!mapper_names.empty(), "need at least one mapper");
 
-  // One pool shared by every mapper run (optimize_network would otherwise
-  // create and join a fresh pool per mapper).
-  OptimizerOptions shared = options;
-  std::unique_ptr<ThreadPool> owned_pool;
-  const int threads = resolve_threads(options);
-  if (threads > 1) {
-    shared.pool = borrow_or_create_pool(options, threads, owned_pool);
-  }
-
   NetworkComparison comparison;
   comparison.results.reserve(mapper_names.size());
   for (const std::string& name : mapper_names) {
     const auto mapper = make_mapper(name);
     comparison.results.push_back(
-        optimize_network(*mapper, network, geometry, shared));
+        optimize_network(*mapper, network, geometry, options));
   }
   return comparison;
 }

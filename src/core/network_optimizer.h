@@ -6,17 +6,17 @@
 /// computation behind Table I and Fig. 8).
 ///
 /// The optimizer is a concurrent, memoized search engine:
-///  * layer searches fan out across a fixed-size ThreadPool; each
+///  * layer searches fan out across the caller's ThreadPool; each
 ///    layer's own window scan is sequential;
 ///  * an optional MappingCache deduplicates repeated (shape, array,
 ///    algorithm) searches -- real networks repeat shapes heavily;
-///  * results are bit-identical to the sequential scan at any thread
-///    count: each layer's decision lands in its layer's slot, never in
+///  * results are bit-identical to the sequential scan at any pool
+///    size: each layer's decision lands in its layer's slot, never in
 ///    completion order.
 ///
-/// Thread count resolution: `OptimizerOptions::threads` when positive,
-/// else the `VWSDK_THREADS` environment variable, else the hardware
-/// concurrency (see ThreadPool::default_thread_count).
+/// The optimizer owns no threads: `OptimizerOptions::pool` is borrowed,
+/// and a nullptr pool (the default) maps the layers on the calling
+/// thread, in network order.
 
 #include <string>
 #include <vector>
@@ -72,12 +72,8 @@ struct NetworkMappingResult {
 
 /// How optimize_network schedules its work.
 struct OptimizerOptions {
-  /// Worker count; <= 0 resolves via VWSDK_THREADS, then the hardware
-  /// concurrency.  1 runs fully sequentially (no pool is created).
-  int threads = 0;
-
-  /// Borrow an existing pool instead of creating one; overrides
-  /// `threads`.  The caller keeps ownership.
+  /// Pool the layer searches fan out over; nullptr maps them on the
+  /// calling thread.  The caller keeps ownership.
   ThreadPool* pool = nullptr;
 
   /// Memoize layer searches here; distinct (mapper, shape, geometry)
@@ -92,7 +88,7 @@ struct OptimizerOptions {
 };
 
 /// Map every layer of `network` with `mapper` on `geometry` using the
-/// default options (auto thread count, no cache).
+/// default options (calling thread, no cache).
 NetworkMappingResult optimize_network(const Mapper& mapper,
                                       const Network& network,
                                       const ArrayGeometry& geometry);
@@ -122,8 +118,8 @@ NetworkComparison compare_mappers(const std::vector<std::string>& mapper_names,
                                   const Network& network,
                                   const ArrayGeometry& geometry);
 
-/// As above with explicit options; the pool (given or created) is shared
-/// across all mappers, as is any cache.
+/// As above with explicit options; any pool and cache are shared across
+/// all mappers.
 NetworkComparison compare_mappers(const std::vector<std::string>& mapper_names,
                                   const Network& network,
                                   const ArrayGeometry& geometry,

@@ -15,10 +15,13 @@
 /// instead of re-searching.
 ///
 /// Concurrency: every method is safe to call from multiple threads at
-/// once.  Callers must not invoke the service from a task running on
-/// its own pool (the pool is non-reentrant, see common/thread_pool.h);
-/// the daemon's request workers are separate threads, which is the
-/// intended shape.
+/// once.  The pool is the only one the library owns: the layer searches
+/// and `verify`'s reference convolution both fan out over it through
+/// parallel_chunks, where the calling thread works through its own
+/// chunks, so concurrent requests share the workers and a task running
+/// on the pool may itself call the service.  What no caller may do is
+/// submit() to the pool and block on the future from inside a pool
+/// task (common/thread_pool.h).
 
 #include <cstdint>
 #include <string>
@@ -131,7 +134,8 @@ std::string stats_line(const ServiceStats& stats);
 class ServiceApi {
  public:
   /// Start the service; `threads <= 0` resolves via VWSDK_THREADS, then
-  /// the hardware concurrency (ThreadPool::resolve_thread_count).
+  /// the hardware concurrency (ThreadPool::resolve_thread_count).  The
+  /// count bounds the searches and the reference convolution alike.
   explicit ServiceApi(int threads = 0);
 
   ServiceApi(const ServiceApi&) = delete;

@@ -26,6 +26,8 @@
 
 namespace vwsdk {
 
+class ThreadPool;
+
 /// Knobs of a functional execution.
 struct ExecutionOptions {
   ConverterModel adc{};             ///< ideal by default
@@ -38,6 +40,10 @@ struct ExecutionOptions {
   /// `VWSDK_REF_BACKEND` environment variable, then "gemm" (see
   /// tensor/exec_backend.h).  The "scalar" oracle is always available.
   std::string ref_backend;
+
+  /// Pool the reference convolution fans out over, borrowed; nullptr
+  /// runs it on the calling thread.  The result is the same either way.
+  ThreadPool* pool = nullptr;
 };
 
 /// What an execution produced and what it cost.

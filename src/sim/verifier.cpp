@@ -18,7 +18,7 @@ Tensord reference_convolution(const MappingPlan& plan, const Tensord& ifm,
   config.pad_h = plan.shape.pad_h;
   const RefBackend& backend =
       ref_backend(resolve_ref_backend(options.ref_backend));
-  return backend.conv2d(ifm, weights, config, workspace);
+  return backend.conv2d(ifm, weights, config, workspace, options.pool);
 }
 
 VerificationReport verify_execution(const MappingPlan& plan,

@@ -33,8 +33,9 @@ struct VerificationReport {
 
 /// The reference OFM for `plan` on (ifm, weights), computed by the
 /// backend `options.ref_backend` resolves to with the plan's
-/// stride/padding.  `workspace` is optional backend scratch, reusable
-/// across calls (the pipeline shares one across groups and stages).
+/// stride/padding, fanned out over `options.pool` (nullptr: the calling
+/// thread).  `workspace` is optional backend scratch, reusable across
+/// calls (the pipeline shares one across groups and stages).
 Tensord reference_convolution(const MappingPlan& plan, const Tensord& ifm,
                               const Tensord& weights,
                               const ExecutionOptions& options = {},

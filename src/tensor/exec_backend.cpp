@@ -14,9 +14,10 @@ namespace {
 class ScalarBackend final : public RefBackend {
  public:
   Tensord conv2d(const Tensord& ifm, const Tensord& weights,
-                 const ConvConfig& config,
-                 ConvWorkspace* workspace) const override {
-    (void)workspace;  // the scalar loop needs no scratch
+                 const ConvConfig& config, ConvWorkspace* workspace,
+                 ThreadPool* pool) const override {
+    (void)workspace;  // the scalar loop needs no scratch and no threads
+    (void)pool;
     return conv2d_direct(ifm, weights, config);
   }
 };
@@ -28,7 +29,7 @@ const RefBackend& scalar_backend() {
   return backend;
 }
 
-/// Blocked im2col + tiled GEMM fanned out across the thread pool:
+/// Blocked im2col + tiled GEMM fanned out across the caller's pool:
 /// bitwise identical to scalar on integer tensors, the fast default.
 const RefBackend& gemm_backend() {
   static const GemmBackend backend;

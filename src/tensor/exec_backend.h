@@ -17,11 +17,12 @@
 ///   * `scalar` (alias `direct`) -- conv2d_direct, the obviously-correct
 ///     oracle;
 ///   * `gemm` (alias `im2col-gemm`) -- blocked im2col + tiled GEMM on
-///     the thread pool (tensor/gemm_backend.h), the fast default.
+///     the caller's thread pool (tensor/gemm_backend.h), the fast
+///     default.
 ///
 /// Contract: on integer-valued tensors (the verification convention,
 /// see tensor.h) every backend must produce an OFM bitwise identical to
-/// `scalar`, for any thread count -- pinned by the parity suite in
+/// `scalar`, for any pool (or none) -- pinned by the parity suite in
 /// tests/tensor/test_exec_backend.cpp and the bench_exec gate.
 
 #include <string>
@@ -31,6 +32,8 @@
 #include "tensor/tensor.h"
 
 namespace vwsdk {
+
+class ThreadPool;
 
 /// Reusable scratch memory for backend convolutions.  Passing the same
 /// workspace across calls (the pipeline does, across the groups and
@@ -54,18 +57,20 @@ class RefBackend {
   /// @param config    stride / padding.
   /// @param workspace optional scratch reused across calls; nullptr
   ///                  means the backend allocates locally.
+  /// @param pool      pool to fan the work out over, borrowed; nullptr
+  ///                  runs it on the calling thread.
   /// @return          feature map, shape (1, OC, OH, OW).
   virtual Tensord conv2d(const Tensord& ifm, const Tensord& weights,
                          const ConvConfig& config = ConvConfig(),
-                         ConvWorkspace* workspace = nullptr) const = 0;
+                         ConvWorkspace* workspace = nullptr,
+                         ThreadPool* pool = nullptr) const = 0;
 };
 
 /// The shared instance of the backend `name` resolves to (canonical
 /// name or alias, case-insensitive, surrounding whitespace ignored);
 /// throws NotFound listing the known names.  Each backend is one
-/// process-lifetime instance: backends are stateless with respect to
-/// results, and the gemm backend owns a thread pool that would be
-/// wasteful to recreate per convolution.
+/// process-lifetime instance: backends hold no state; scratch and
+/// threads come from the caller.
 const RefBackend& ref_backend(const std::string& name);
 
 /// The canonical backend names in presentation order, joined as

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 
 namespace vwsdk {
 
@@ -12,23 +13,25 @@ namespace {
 // Cache blocking: the inner product walks kKc kernel rows of a kNc-wide
 // column stripe, so the working set (one A sliver, one B block, one C
 // stripe) stays L1/L2-resident; the chunk of output rows handed to one
-// worker by parallel_chunks plays the `mc` role.
+// thread by parallel_chunks plays the `mc` role.
 constexpr Count kKc = 256;
 constexpr Count kNc = 128;
 
 // Below this many MACs the pool dispatch overhead dominates the
-// arithmetic; run single-threaded in the calling thread instead (the
-// result is bitwise identical either way, see gemm_backend.h).
+// arithmetic; run on the calling thread instead (the result is bitwise
+// identical either way, see gemm_backend.h).
 constexpr Count kParallelCutoffMacs = Count{1} << 15;
 
 /// Lower input rows [row_begin, row_end) of the im2col matrix into
 /// `columns` (kernel_volume x windows, row-major).  Row r corresponds
 /// to kernel element (ic, ky, kx) with r = im2col_row_index(ic, ky,
 /// kx); out-of-range taps (zero padding) become explicit zeros, so
-/// every element of the row range is written.
-void pack_rows(const Tensord& ifm, Dim kh, Dim kw, const ConvConfig& config,
-               Dim oh, Dim ow, Count row_begin, Count row_end,
-               double* columns) {
+/// every element of the row range is written.  Kept out of line, like
+/// multiply_rows: see there.
+[[gnu::noinline]] void pack_rows(const Tensord& ifm, Dim kh, Dim kw,
+                                 const ConvConfig& config, Dim oh, Dim ow,
+                                 Count row_begin, Count row_end,
+                                 double* columns) {
   const Shape4& in = ifm.shape();
   const Dim ih = in.d2;
   const Dim iw = in.d3;
@@ -61,10 +64,12 @@ void pack_rows(const Tensord& ifm, Dim kh, Dim kw, const ConvConfig& config,
 /// stripes of kNc, kernel blocks of kKc, then a contiguous axpy.  Per
 /// output element the terms accumulate in ascending k -- the same order
 /// for any blocking or thread chunking, which is what makes the backend
-/// deterministic (see gemm_backend.h).
-void multiply_rows(const double* a, const double* b, double* c,
-                   Count m_begin, Count m_end, Count k_total,
-                   Count n_total) {
+/// deterministic (see gemm_backend.h).  Kept out of line: inlined into
+/// its only caller, the parallel_chunks lambda, GCC 12 spills the axpy's
+/// loop bounds to the stack and the kernel runs ~1.6x slower.
+[[gnu::noinline]] void multiply_rows(const double* a, const double* b,
+                                     double* c, Count m_begin, Count m_end,
+                                     Count k_total, Count n_total) {
   for (Count n0 = 0; n0 < n_total; n0 += kNc) {
     const Count nb = std::min(kNc, n_total - n0);
     for (Count k0 = 0; k0 < k_total; k0 += kKc) {
@@ -86,14 +91,10 @@ void multiply_rows(const double* a, const double* b, double* c,
 
 }  // namespace
 
-GemmBackend::GemmBackend(int threads)
-    : pool_(std::make_unique<ThreadPool>(threads)) {}
-
-int GemmBackend::threads() const { return pool_->size(); }
-
 Tensord GemmBackend::conv2d(const Tensord& ifm, const Tensord& weights,
                             const ConvConfig& config,
-                            ConvWorkspace* workspace) const {
+                            ConvWorkspace* workspace,
+                            ThreadPool* pool) const {
   const Shape4& in = ifm.shape();
   const Shape4& w = weights.shape();
   VWSDK_REQUIRE(in.d0 == 1, "gemm backend expects batch 1");
@@ -120,16 +121,11 @@ Tensord GemmBackend::conv2d(const Tensord& ifm, const Tensord& weights,
   double* c = ofm.data().data();
 
   const Count macs = static_cast<Count>(oc) * rows * cols;
-  const bool inline_run = macs < kParallelCutoffMacs || pool_->size() == 1;
-  if (inline_run) {
-    pack_rows(ifm, kh, kw, config, oh, ow, 0, rows, columns);
-    multiply_rows(a, columns, c, 0, oc, rows, cols);
-    return ofm;
-  }
-  parallel_chunks(*pool_, rows, [&](Count begin, Count end) {
+  ThreadPool* const fan_out = macs < kParallelCutoffMacs ? nullptr : pool;
+  parallel_chunks(fan_out, rows, [&](Count begin, Count end) {
     pack_rows(ifm, kh, kw, config, oh, ow, begin, end, columns);
   });
-  parallel_chunks(*pool_, oc, [&](Count begin, Count end) {
+  parallel_chunks(fan_out, oc, [&](Count begin, Count end) {
     multiply_rows(a, columns, c, begin, end, rows, cols);
   });
   return ofm;

@@ -9,44 +9,28 @@
 /// im2col_row_index order, so the weight tensor's raw storage already
 /// IS the left-hand matrix), and the convolution becomes one dense
 /// matrix-matrix product, cache-blocked and fanned out across the
-/// thread pool.
+/// caller's thread pool.
 ///
 /// Determinism contract (what lets `gemm` replace the scalar oracle on
 /// the verification paths): every output element accumulates its terms
 /// in ascending kernel-row order, each output row is computed wholly by
-/// one worker, and zero weights are not skipped -- so the result is
-/// bitwise identical for any thread count, and bitwise identical to
+/// one thread, and zero weights are not skipped -- so the result is
+/// bitwise identical for any pool (or none), and bitwise identical to
 /// conv2d_direct on integer-valued tensors (integer sums are exact in
 /// double regardless of association).  Pinned by
 /// tests/tensor/test_exec_backend.cpp and gated by bench_exec.
 
-#include <memory>
-
-#include "common/thread_pool.h"
 #include "tensor/exec_backend.h"
 
 namespace vwsdk {
 
-/// Blocked im2col + tiled GEMM convolution on an owned thread pool.
-///
-/// The shared "gemm" instance (ref_backend) uses the default thread count;
-/// constructing an explicit instance (the determinism tests do) pins
-/// the pool size.
+/// Blocked im2col + tiled GEMM convolution, fanned out over the pool
+/// the caller passes (nullptr runs it on the calling thread).
 class GemmBackend : public RefBackend {
  public:
-  /// Start with `threads` workers; `threads <= 0` resolves through
-  /// ThreadPool::resolve_thread_count (VWSDK_THREADS, then hardware).
-  explicit GemmBackend(int threads = 0);
-
-  /// Worker threads of the owned pool.
-  int threads() const;
-
   Tensord conv2d(const Tensord& ifm, const Tensord& weights,
-                 const ConvConfig& config,
-                 ConvWorkspace* workspace) const override;
-
- private:
-  std::unique_ptr<ThreadPool> pool_;
+                 const ConvConfig& config, ConvWorkspace* workspace,
+                 ThreadPool* pool) const override;
 };
 
 }  // namespace vwsdk

@@ -10,77 +10,4 @@ Dim im2col_row_index(Dim ic_index, Dim ky, Dim kx, Dim kh, Dim kw) {
   return (ic_index * kh + ky) * kw + kx;
 }
 
-Tensord im2col_lower(const Tensord& ifm, Dim kh, Dim kw,
-                     const ConvConfig& config) {
-  const Shape4& in = ifm.shape();
-  VWSDK_REQUIRE(in.d0 == 1, "im2col_lower expects batch 1");
-  const Dim ic = in.d1;
-  const Dim ih = in.d2;
-  const Dim iw = in.d3;
-  const Dim oh = conv_output_extent(ih, kh, config.stride_h, config.pad_h);
-  const Dim ow = conv_output_extent(iw, kw, config.stride_w, config.pad_w);
-
-  const Dim rows = ic * kh * kw;
-  const Dim cols = oh * ow;
-  Tensord matrix(Shape4{1, 1, rows, cols});
-  for (Dim c = 0; c < ic; ++c) {
-    for (Dim ky = 0; ky < kh; ++ky) {
-      for (Dim kx = 0; kx < kw; ++kx) {
-        const Dim row = im2col_row_index(c, ky, kx, kh, kw);
-        for (Dim oy = 0; oy < oh; ++oy) {
-          for (Dim ox = 0; ox < ow; ++ox) {
-            const Dim y = oy * config.stride_h + ky - config.pad_h;
-            const Dim x = ox * config.stride_w + kx - config.pad_w;
-            double value = 0.0;
-            if (y >= 0 && y < ih && x >= 0 && x < iw) {
-              value = ifm.at(c, y, x);
-            }
-            matrix.at(0, 0, row, oy * ow + ox) = value;
-          }
-        }
-      }
-    }
-  }
-  return matrix;
-}
-
-Tensord conv2d_im2col(const Tensord& ifm, const Tensord& weights,
-                      const ConvConfig& config) {
-  const Shape4& w = weights.shape();
-  const Dim oc = w.d0;
-  const Dim ic = w.d1;
-  const Dim kh = w.d2;
-  const Dim kw = w.d3;
-  VWSDK_REQUIRE(ifm.shape().d1 == ic, "conv2d_im2col: IC mismatch");
-
-  const Tensord matrix = im2col_lower(ifm, kh, kw, config);
-  const Dim rows = matrix.shape().d2;  // K_h*K_w*IC
-  const Dim cols = matrix.shape().d3;  // OH*OW
-  const Dim oh =
-      conv_output_extent(ifm.shape().d2, kh, config.stride_h, config.pad_h);
-  const Dim ow =
-      conv_output_extent(ifm.shape().d3, kw, config.stride_w, config.pad_w);
-  VWSDK_ASSERT(cols == oh * ow, "im2col column count mismatch");
-
-  // Weight matrix row for output channel o: kernel flattened in the same
-  // (ic, ky, kx) order as im2col_row_index.
-  Tensord ofm = Tensord::feature_map(oc, oh, ow);
-  for (Dim o = 0; o < oc; ++o) {
-    for (Dim col = 0; col < cols; ++col) {
-      double acc = 0.0;
-      for (Dim c = 0; c < ic; ++c) {
-        for (Dim ky = 0; ky < kh; ++ky) {
-          for (Dim kx = 0; kx < kw; ++kx) {
-            const Dim row = im2col_row_index(c, ky, kx, kh, kw);
-            VWSDK_ASSERT(row < rows, "im2col row out of range");
-            acc += weights.at(o, c, ky, kx) * matrix.at(0, 0, row, col);
-          }
-        }
-      }
-      ofm.at(o, col / ow, col % ow) = acc;
-    }
-  }
-  return ofm;
-}
-
 }  // namespace vwsdk

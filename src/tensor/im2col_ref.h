@@ -1,19 +1,16 @@
 #pragma once
 
 /// @file im2col_ref.h
-/// im2col lowering + GEMM reference convolution.
+/// The im2col row order.
 ///
-/// This is the *software* analogue of the im2col PIM mapping (Fig. 2(a) of
-/// the paper): each kernel-sized input window becomes a column of a matrix,
-/// kernels become rows of a weight matrix, and the convolution becomes one
-/// matrix-matrix product.  It serves two purposes:
-///  1. an independent second reference implementation to cross-check
-///     conv2d_direct, and
-///  2. the exact row ordering (ic-major, then ky, then kx) reused by the
-///     im2col mapping plan builder, so layout bugs surface in one place.
+/// In the paper's im2col mapping (Fig. 2(a)) each kernel-sized input
+/// window becomes a column of a matrix and each kernel a row, so the
+/// convolution becomes one matrix-matrix product.  The one ordering of
+/// kernel elements inside such a column (ic-major, then ky, then kx) is
+/// shared by the im2col mapping plan builder and the gemm backend's
+/// lowering, so layout bugs surface in one place.
 
-#include "tensor/conv_ref.h"
-#include "tensor/tensor.h"
+#include "common/types.h"
 
 namespace vwsdk {
 
@@ -21,16 +18,5 @@ namespace vwsdk {
 /// column, for a K_h x K_w kernel.  Order: ic-major, then ky, then kx --
 /// matching the paper's "unroll each 3-D kernel into a column" (§II-A).
 Dim im2col_row_index(Dim ic_index, Dim ky, Dim kx, Dim kh, Dim kw);
-
-/// Lower the input feature map into the im2col matrix.
-/// Result shape: (1, 1, K_h*K_w*IC, OH*OW) -- rows are kernel elements,
-/// columns are output positions (oy-major).
-Tensord im2col_lower(const Tensord& ifm, Dim kh, Dim kw,
-                     const ConvConfig& config = {});
-
-/// Convolution via im2col + GEMM; must agree exactly with conv2d_direct
-/// for integer-valued inputs.
-Tensord conv2d_im2col(const Tensord& ifm, const Tensord& weights,
-                      const ConvConfig& config = {});
 
 }  // namespace vwsdk

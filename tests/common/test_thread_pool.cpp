@@ -1,6 +1,8 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <future>
 #include <stdexcept>
@@ -110,7 +112,7 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
 TEST(ThreadPool, ParallelChunksCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> seen(1000);
-  parallel_chunks(pool, 1000, [&seen](Count begin, Count end) {
+  parallel_chunks(&pool, 1000, [&seen](Count begin, Count end) {
     for (Count i = begin; i < end; ++i) {
       ++seen[static_cast<std::size_t>(i)];
     }
@@ -123,20 +125,62 @@ TEST(ThreadPool, ParallelChunksCoversRangeExactlyOnce) {
 TEST(ThreadPool, ParallelChunksEmptyRangeIsNoop) {
   ThreadPool pool(2);
   bool called = false;
-  parallel_chunks(pool, 0, [&called](Count, Count) { called = true; });
+  parallel_chunks(&pool, 0, [&called](Count, Count) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ThreadPool, ParallelChunksRethrowsTaskException) {
   ThreadPool pool(3);
   EXPECT_THROW(
-      parallel_chunks(pool, 100,
+      parallel_chunks(&pool, 100,
                       [](Count begin, Count) {
                         if (begin == 0) {
                           throw std::runtime_error("chunk failed");
                         }
                       }),
       std::runtime_error);
+}
+
+// Fan-outs nested inside the pool's only worker: the outer call runs on
+// that worker and each chunk fans out again, so the calls complete only
+// because every caller works through its own chunks.  The bounded wait
+// turns a regression into a failure instead of a hung test binary.
+TEST(ThreadPool, ParallelChunksFromInsideAChunkOfTheSamePoolCompletes) {
+  ThreadPool pool(1);
+  std::vector<std::atomic<int>> seen(64);
+  auto outer = pool.submit([&pool, &seen]() {
+    parallel_chunks(&pool, 8, [&pool, &seen](Count begin, Count end) {
+      for (Count i = begin; i < end; ++i) {
+        parallel_chunks(&pool, 8, [&seen, i](Count from, Count to) {
+          for (Count j = from; j < to; ++j) {
+            ++seen[static_cast<std::size_t>(i * 8 + j)];
+          }
+        });
+      }
+    });
+  });
+  if (outer.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    // The stuck threads can be neither joined nor destroyed: report and
+    // end the process rather than hang in the future's destructor.
+    std::fputs("nested parallel_chunks deadlocked\n", stderr);
+    std::_Exit(1);
+  }
+  outer.get();
+  for (const auto& cell : seen) {
+    EXPECT_EQ(cell.load(), 1);
+  }
+}
+
+TEST(ThreadPool, ParallelChunksWithoutPoolRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  parallel_chunks(nullptr, 10, [&](Count begin, Count end) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(begin, 0);
+    EXPECT_EQ(end, 10);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
 }
 
 TEST(ThreadPool, ResolveThreadCountClampsAndPassesThrough) {
@@ -282,6 +326,37 @@ TEST(ThreadPoolStress, ConcurrentProducersNeverLoseOrDuplicateTasks) {
   }
   for (const auto& cell : runs) {
     ASSERT_EQ(cell.load(), 1);
+  }
+}
+
+/// Many callers fanning out on one small pool at once, as concurrent
+/// daemon requests do: every index of every call runs exactly once, and
+/// no call waits forever behind another's chunks.
+TEST(ThreadPoolStress, ConcurrentCallersShareOnePool) {
+  constexpr int kCallers = 8;
+  constexpr int kRounds = 20;
+  constexpr Count kPerCaller = 500;
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> runs(
+      static_cast<std::size_t>(kCallers * kPerCaller));
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([c, &pool, &runs] {
+      for (int round = 0; round < kRounds; ++round) {
+        parallel_chunks(&pool, kPerCaller, [&](Count begin, Count end) {
+          for (Count i = begin; i < end; ++i) {
+            ++runs[static_cast<std::size_t>(c * kPerCaller + i)];
+          }
+        });
+      }
+    });
+  }
+  for (std::thread& caller : callers) {
+    caller.join();
+  }
+  for (const auto& cell : runs) {
+    ASSERT_EQ(cell.load(), kRounds);  // once per call
   }
 }
 

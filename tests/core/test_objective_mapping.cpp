@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/bit_sliced_mapper.h"
 #include "core/exhaustive_mapper.h"
 #include "core/mapping_cache.h"
@@ -174,17 +175,21 @@ TEST(ObjectiveMapping, ParallelSearchIdenticalUnderEnergy) {
   // non-cycle objective either.
   const VwSdkMapper mapper;
   OptimizerOptions sequential;
-  sequential.threads = 1;
   sequential.objective = &energy_objective();
-  OptimizerOptions threaded = sequential;
-  threaded.threads = 4;
   const NetworkMappingResult a =
       optimize_network(mapper, vgg13_paper(), k512x512, sequential);
-  const NetworkMappingResult b =
-      optimize_network(mapper, vgg13_paper(), k512x512, threaded);
-  ASSERT_EQ(a.layers.size(), b.layers.size());
-  for (std::size_t i = 0; i < a.layers.size(); ++i) {
-    EXPECT_EQ(a.layers[i].decision, b.layers[i].decision) << i;
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {&one, &four}) {
+    OptimizerOptions threaded = sequential;
+    threaded.pool = pool;
+    const NetworkMappingResult b =
+        optimize_network(mapper, vgg13_paper(), k512x512, threaded);
+    ASSERT_EQ(a.layers.size(), b.layers.size());
+    for (std::size_t i = 0; i < a.layers.size(); ++i) {
+      EXPECT_EQ(a.layers[i].decision, b.layers[i].decision)
+          << i << " with " << pool->size() << " worker(s)";
+    }
   }
 }
 

@@ -1,7 +1,7 @@
-/// Concurrency determinism of the network-mapping engine: the threaded
-/// optimizer (any thread count, cached or not) must produce
-/// byte-identical MappingDecisions and cycle totals to a forced
-/// single-thread run, and the MappingCache counters must be exact.
+/// Concurrency determinism of the network-mapping engine: the pooled
+/// optimizer (any pool size, cached or not) must produce byte-identical
+/// MappingDecisions and cycle totals to a run on the calling thread
+/// alone (a nullptr pool), and the MappingCache counters must be exact.
 
 #include "core/network_optimizer.h"
 
@@ -34,13 +34,17 @@ void expect_identical(const NetworkMappingResult& a,
 
 TEST(OptimizerParallel, FourThreadsMatchSingleThreadAcrossModelZoo) {
   const VwSdkMapper mapper;
+  ThreadPool one(1);
+  ThreadPool four(4);
   for (const std::string& model : model_names()) {
     const Network net = model_by_name(model);
-    const NetworkMappingResult sequential = optimize_network(
-        mapper, net, k512x512, OptimizerOptions{.threads = 1});
-    const NetworkMappingResult threaded = optimize_network(
-        mapper, net, k512x512, OptimizerOptions{.threads = 4});
-    expect_identical(sequential, threaded);
+    const NetworkMappingResult sequential =
+        optimize_network(mapper, net, k512x512, OptimizerOptions{});
+    for (ThreadPool* pool : {&one, &four}) {
+      const NetworkMappingResult threaded = optimize_network(
+          mapper, net, k512x512, OptimizerOptions{.pool = pool});
+      expect_identical(sequential, threaded);
+    }
   }
 }
 
@@ -50,8 +54,8 @@ TEST(OptimizerParallel, ExternalPoolAndManyThreadsStayDeterministic) {
   OptimizerOptions options;
   options.pool = &pool;
   const Network net = vgg13_paper();
-  const NetworkMappingResult expected = optimize_network(
-      mapper, net, k512x512, OptimizerOptions{.threads = 1});
+  const NetworkMappingResult expected =
+      optimize_network(mapper, net, k512x512, OptimizerOptions{});
   for (int run = 0; run < 5; ++run) {
     expect_identical(expected,
                      optimize_network(mapper, net, k512x512, options));
@@ -70,26 +74,29 @@ TEST(OptimizerParallel, CacheReportsExactHitCountOnVgg16) {
   ASSERT_EQ(distinct.size(), 9u);
   const Count total = static_cast<Count>(net.layers().size());
 
-  for (const int threads : {1, 4}) {
+  ThreadPool one(1);
+  ThreadPool four(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+    const int threads = pool != nullptr ? pool->size() : 0;
     MappingCache cache;
     OptimizerOptions options;
-    options.threads = threads;
+    options.pool = pool;
     options.cache = &cache;
     const NetworkMappingResult result =
         optimize_network(mapper, net, k512x512, options);
-    EXPECT_EQ(cache.stats().misses, 9) << threads << " threads";
-    EXPECT_EQ(cache.stats().hits, total - 9) << threads << " threads";
-    EXPECT_EQ(cache.size(), 9) << threads << " threads";
-    expect_identical(result,
-                     optimize_network(mapper, net, k512x512,
-                                      OptimizerOptions{.threads = 1}));
+    EXPECT_EQ(cache.stats().misses, 9) << threads << " worker(s)";
+    EXPECT_EQ(cache.stats().hits, total - 9) << threads << " worker(s)";
+    EXPECT_EQ(cache.size(), 9) << threads << " worker(s)";
+    expect_identical(result, optimize_network(mapper, net, k512x512,
+                                              OptimizerOptions{}));
   }
 }
 
 TEST(OptimizerParallel, SharedCacheSpansComparisonsAndGeometries) {
+  ThreadPool pool(4);
   MappingCache cache;
   OptimizerOptions options;
-  options.threads = 4;
+  options.pool = &pool;
   options.cache = &cache;
   const NetworkComparison first = compare_mappers(
       {"im2col", "sdk", "vw-sdk"}, resnet18_paper(), k512x512, options);
@@ -113,16 +120,17 @@ TEST(OptimizerParallel, Vgg16PaperTotalSurvivesEveryMode) {
   const VwSdkMapper mapper;
   const Network net = vgg16();
   const Cycles expected =
-      optimize_network(mapper, net, k512x512, OptimizerOptions{.threads = 1})
+      optimize_network(mapper, net, k512x512, OptimizerOptions{})
           .total_cycles();
+  ThreadPool pool(4);
   MappingCache cache;
   OptimizerOptions cached;
-  cached.threads = 4;
+  cached.pool = &pool;
   cached.cache = &cache;
   EXPECT_EQ(optimize_network(mapper, net, k512x512, cached).total_cycles(),
             expected);
   EXPECT_EQ(optimize_network(mapper, net, k512x512).total_cycles(),
-            expected);  // default options (auto thread count)
+            expected);  // default options (calling thread, no cache)
 }
 
 }  // namespace

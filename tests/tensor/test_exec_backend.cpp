@@ -10,6 +10,7 @@
 #include "common/error.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "nn/model_zoo.h"
 #include "tensor/gemm_backend.h"
 #include "tensor/tensor_ops.h"
@@ -225,10 +226,10 @@ TEST(BackendParity, GroupedAndDepthwiseSlices) {
   }
 }
 
-// Bitwise determinism across thread counts: each output row is
-// computed wholly by one worker in ascending-k order, so the pool size
-// must not change a single bit.  The case is sized past the backend's
-// inline cutoff so the pool actually runs.
+// Bitwise determinism across pools: each output row is computed wholly
+// by one thread in ascending-k order, so neither the pool size nor
+// running on the calling thread alone may change a single bit.  The case
+// is sized past the backend's inline cutoff so the pool actually runs.
 TEST(GemmBackend, DeterministicAcrossThreadCounts) {
   Rng rng(4242);
   Tensord ifm = Tensord::feature_map(8, 16, 16);
@@ -237,28 +238,21 @@ TEST(GemmBackend, DeterministicAcrossThreadCounts) {
   fill_random_int(weights, rng, 3);
   const ConvConfig config;
 
-  const GemmBackend one(1);
-  const GemmBackend four(4);
-  const GemmBackend sixteen(16);
-  EXPECT_EQ(one.threads(), 1);
-  EXPECT_EQ(four.threads(), 4);
-  EXPECT_EQ(sixteen.threads(), 16);
-  const Tensord base = one.conv2d(ifm, weights, config, nullptr);
-  EXPECT_TRUE(exactly_equal(base, four.conv2d(ifm, weights, config,
-                                              nullptr)));
-  EXPECT_TRUE(exactly_equal(base, sixteen.conv2d(ifm, weights, config,
-                                                 nullptr)));
+  const GemmBackend gemm;
+  ThreadPool one(1);
+  ThreadPool four(4);
+  ThreadPool sixteen(16);
+  EXPECT_EQ(one.size(), 1);
+  EXPECT_EQ(four.size(), 4);
+  EXPECT_EQ(sixteen.size(), 16);
+  const Tensord base = gemm.conv2d(ifm, weights, config, nullptr, nullptr);
+  for (ThreadPool* pool : {&one, &four, &sixteen}) {
+    EXPECT_TRUE(exactly_equal(
+        base, gemm.conv2d(ifm, weights, config, nullptr, pool)))
+        << pool->size() << " worker(s)";
+  }
   // ...and identical to the oracle, threads notwithstanding.
   EXPECT_TRUE(exactly_equal(base, conv2d_direct(ifm, weights, config)));
-}
-
-// VWSDK_THREADS feeds the same constructor path the tests above pin
-// explicitly, so env-selected thread counts inherit the determinism.
-TEST(GemmBackend, DefaultThreadCountFollowsEnv) {
-  EnvGuard guard("VWSDK_THREADS");
-  ASSERT_EQ(setenv("VWSDK_THREADS", "4", 1), 0);
-  const GemmBackend backend;
-  EXPECT_EQ(backend.threads(), 4);
 }
 
 }  // namespace

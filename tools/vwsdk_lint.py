@@ -2,7 +2,7 @@
 """Repo-invariant lint: the static checks the compiler cannot express.
 
 Registered as the ctest ``lint.invariants`` (label "lint"), mirroring
-tools/check_doc_comments.py.  Five rules, each enforcing a contract the
+tools/check_doc_comments.py.  Nine rules, each enforcing a contract the
 codebase documents elsewhere:
 
   determinism      no nondeterminism sources (std::rand, time(),
@@ -42,6 +42,13 @@ codebase documents elsewhere:
                    names a specific clang-tidy check (no bare or `(*)`
                    blanket suppressions) and carries a justification
                    after the check list (docs/STATIC_ANALYSIS.md).
+  one-pool         only the service facade (src/serve/service.*) owns a
+                   ThreadPool: nowhere else in src/ is one constructed
+                   -- no owned member, local or static, no
+                   make_unique<ThreadPool> or other owning template, no
+                   `new ThreadPool`.  Every other fan-out borrows a
+                   `ThreadPool*`, where nullptr means the calling
+                   thread (docs/CONCURRENCY.md).
 
 ``--self-test`` first runs every rule against embedded known-bad
 snippets and fails if any rule has gone blind; then the real tree is
@@ -516,6 +523,46 @@ def rule_nolint_discipline(tree: dict[str, str]) -> list[Failure]:
 
 
 # --------------------------------------------------------------------------
+# Rule: one-pool
+# --------------------------------------------------------------------------
+
+ONE_POOL_ALLOWED = ("src/common/thread_pool.h", "src/common/thread_pool.cpp",
+                    "src/serve/service.h", "src/serve/service.cpp")
+
+# Each pattern is one way to bring a ThreadPool into existence; pointers
+# and references (`ThreadPool*`, `ThreadPool&`) only borrow one.
+ONE_POOL_PATTERNS = [
+    (re.compile(r"\bThreadPool\s+[A-Za-z_]\w*\s*[;({=]"),
+     "a ThreadPool object (member, local or static)"),
+    (re.compile(r"<\s*(?:const\s+)?ThreadPool\s*>"),
+     "an owning template over ThreadPool (make_unique, unique_ptr, ...)"),
+    (re.compile(r"\bnew\s+ThreadPool\b"), "`new ThreadPool`"),
+    (re.compile(r"(?<![\w:~])ThreadPool\s*[({]"), "a ThreadPool temporary"),
+]
+
+
+def rule_one_pool(tree: dict[str, str]) -> list[Failure]:
+    """Only the service facade owns a ThreadPool; everything else in
+    src/ borrows one through a `ThreadPool*` (nullptr = the calling
+    thread), so `--threads` bounds every fan-out in the process."""
+    failures = []
+    for path, text in sorted(tree.items()):
+        if not path.startswith("src/") or path in ONE_POOL_ALLOWED:
+            continue
+        if not path.endswith((".h", ".cpp")):
+            continue
+        code = strip_comments(text)
+        for pattern, what in ONE_POOL_PATTERNS:
+            for match in pattern.finditer(code):
+                failures.append(
+                    f"{path}:{line_of(code, match.start())}: {what} outside "
+                    "serve/service.* -- borrow the service's pool through a "
+                    "ThreadPool* instead (one-pool rule, "
+                    "docs/CONCURRENCY.md)")
+    return failures
+
+
+# --------------------------------------------------------------------------
 # Self-tests: one known-bad snippet per rule; a rule that stays silent
 # on its bad snippet has gone blind and the lint run fails.
 # --------------------------------------------------------------------------
@@ -637,6 +684,20 @@ void register_orphan_mapper(MapperRegistry& registry) { registry.add(a); }
         "src/core/bad.cpp":
             "int x = f();  // NOLINT(*): silence everything\n",
     }),
+    ("one-pool", rule_one_pool, {
+        "src/tensor/bad.h":
+            "class B { std::unique_ptr<ThreadPool> pool_; };",
+    }),
+    ("one-pool", rule_one_pool, {
+        "src/tensor/bad.cpp": "const B& b() { static ThreadPool pool; }",
+    }),
+    ("one-pool", rule_one_pool, {
+        "src/core/bad.cpp":
+            "auto owned = std::make_unique<ThreadPool>(threads);",
+    }),
+    ("one-pool", rule_one_pool, {
+        "src/core/bad.h": "class C { ThreadPool pool_{4}; };",
+    }),
     ("nolint-discipline", rule_nolint_discipline, {
         # specific check but no justification
         "src/core/bad.cpp":
@@ -675,6 +736,19 @@ CLEAN_TREES = [
             "// the old form was (n + k - 1) / k\n"
             "Count b = (n + m - 1) / 2;\n"
             "Count c = checked_ceil_div(n, k);\n"),
+    }),
+    (rule_one_pool, {
+        "src/serve/service.h": "class S { ThreadPool pool_; };",
+        "src/common/thread_pool.h":
+            "class ThreadPool {\n explicit ThreadPool(int threads = 0);\n};",
+        "src/core/ok.h": (
+            "class ThreadPool;\n"
+            "struct O { ThreadPool* pool = nullptr; };\n"
+            "// a comment may say ThreadPool pool_; freely\n"),
+        "src/tensor/ok.cpp": (
+            "void f(ThreadPool* const pool, const ThreadPool& ref) {\n"
+            "  parallel_chunks(pool, n, fn);\n"
+            "  int k = ThreadPool::default_thread_count();\n}\n"),
     }),
     (rule_nolint_discipline, {
         "src/core/ok.cpp": (
@@ -716,6 +790,7 @@ RULES = [
     ("doc-links", rule_doc_links),
     ("ceil-div", rule_ceil_div),
     ("nolint-discipline", rule_nolint_discipline),
+    ("one-pool", rule_one_pool),
 ]
 
 
