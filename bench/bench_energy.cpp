@@ -14,8 +14,8 @@
 #include "bench_util.h"
 #include "common/table.h"
 #include "core/network_optimizer.h"
+#include "mapping/activity.h"
 #include "nn/model_zoo.h"
-#include "sim/latency_model.h"
 
 int main() {
   using namespace vwsdk;
@@ -23,6 +23,15 @@ int main() {
   reporter.section("Energy & latency per mapping (ResNet-18, 512x512)");
   const ArrayGeometry geometry{512, 512};
   const EnergyParams params;  // documented literature-scale defaults
+
+  const auto activity_of = [&](const char* mapper, const ConvShape& shape) {
+    return analytic_activity(shape, geometry,
+                             make_mapper(mapper)->map(shape, geometry).cost);
+  };
+  const auto full_array_pj = [&](const EnergyReport& activity) {
+    return activity.full_array_energy_pj(params, geometry.rows,
+                                         geometry.cols);
+  };
 
   const Network net = resnet18_paper();
   TextTable table({"layer", "algorithm", "cycles", "latency (us)",
@@ -34,22 +43,21 @@ int main() {
   for (const ConvLayerDesc& layer : net.layers()) {
     const ConvShape shape = ConvShape::from_layer(layer);
     for (const char* name : {"im2col", "sdk", "vw-sdk"}) {
-      const MappingDecision decision =
-          make_mapper(name)->map(shape, geometry);
-      const LatencyEstimate estimate = estimate_layer(decision, params);
+      const EnergyReport activity = activity_of(name, shape);
+      const double full_pj = full_array_pj(activity);
       table.add_row(
-          {layer.name, name, std::to_string(estimate.cycles),
-           format_fixed(estimate.latency_ns / 1e3, 1),
-           format_fixed(estimate.energy_full_array_pj / 1e6, 3),
-           format_fixed(estimate.energy_pj / 1e6, 3),
-           format_fixed(100.0 * estimate.conversion_fraction, 1)});
+          {layer.name, name, std::to_string(activity.cycles),
+           format_fixed(activity.latency_ns(params) / 1e3, 1),
+           format_fixed(full_pj / 1e6, 3),
+           format_fixed(activity.energy_pj(params) / 1e6, 3),
+           format_fixed(100.0 * activity.conversion_fraction(params), 1)});
       if (std::string(name) == "im2col") {
-        im2col_full += estimate.energy_full_array_pj;
-        im2col_cycles += estimate.cycles;
+        im2col_full += full_pj;
+        im2col_cycles += activity.cycles;
       }
       if (std::string(name) == "vw-sdk") {
-        vw_full += estimate.energy_full_array_pj;
-        vw_cycles += estimate.cycles;
+        vw_full += full_pj;
+        vw_cycles += activity.cycles;
       }
     }
     table.add_separator();
@@ -70,27 +78,24 @@ int main() {
   // Conversion dominance (refs [2],[3]): with all converters firing every
   // cycle, conversions must dominate the energy budget.
   const ConvShape conv4 = ConvShape::from_layer(net.layer_by_name("conv4"));
-  const LatencyEstimate conv4_vw =
-      estimate_layer(make_mapper("vw-sdk")->map(conv4, geometry), params);
+  const EnergyReport conv4_vw = activity_of("vw-sdk", conv4);
   reporter.expect_true("conversions dominate layer energy (>80%)",
-                       conv4_vw.conversion_fraction > 0.8);
+                       conv4_vw.conversion_fraction(params) > 0.8);
 
   // The pinned nuance: per-active-column accounting on VGG-13 conv5.
   reporter.section("Nuance: active-column accounting on VGG-13 conv5");
   const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);
-  const LatencyEstimate base =
-      estimate_layer(make_mapper("im2col")->map(conv5, geometry), params);
-  const LatencyEstimate vw =
-      estimate_layer(make_mapper("vw-sdk")->map(conv5, geometry), params);
-  std::cout << "  im2col: " << base.to_string() << "\n  vw-sdk: "
-            << vw.to_string() << "\n"
+  const EnergyReport base = activity_of("im2col", conv5);
+  const EnergyReport vw = activity_of("vw-sdk", conv5);
+  std::cout << "  im2col: " << base.to_string(params) << "\n  vw-sdk: "
+            << vw.to_string(params) << "\n"
             << "  -> fewer cycles (" << vw.cycles << " vs " << base.cycles
             << ") yet more ACTIVE conversions: VW-SDK's channel-granular\n"
             << "     AR is 4 vs im2col's element-granular 3, so each output\n"
             << "     needs one extra partial-sum conversion.\n";
   reporter.expect_true("nuance holds: vw active energy > im2col's on conv5",
-                       vw.energy_pj > base.energy_pj);
+                       vw.energy_pj(params) > base.energy_pj(params));
   reporter.expect_true("while vw full-array energy is still lower",
-                       vw.energy_full_array_pj < base.energy_full_array_pj);
+                       full_array_pj(vw) < full_array_pj(base));
   return reporter.finish();
 }

@@ -36,19 +36,13 @@ int main(int argc, char** argv) {
           make_mapper(name)->map(shape, geometry);
       const MappingPlan plan =
           build_plan_for_cost(shape, geometry, decision.cost);
-      std::cout << describe_plan(plan);
       const VerificationReport report = verify_mapping_random(plan, seed);
-      std::cout << "  " << report.summary << "\n\n";
+      std::cout << decision.to_string() << "\n  " << report.summary
+                << "\n\n";
       all_exact = all_exact && report.exact_match && report.cycles_match;
     }
 
-    // Show the physical layout of the VW-SDK tile (the paper's Fig. 2(d),
-    // in ASCII).
-    const MappingDecision vw = make_mapper("vw-sdk")->map(shape, geometry);
-    const MappingPlan plan = build_plan_for_cost(shape, geometry, vw.cost);
-    std::cout << render_tile(plan, 0, 0, 48, 64) << "\n";
-
-    // Non-ideal execution, if requested.
+    // Non-ideal execution of the VW-SDK mapping, if requested.
     const double noise_sigma = std::stod(args.get("noise"));
     // Bounded to ConverterModel's [1, 30] (0 = ideal): an out-of-range
     // value must fail, not truncate to 0 and silently skip quantization.
@@ -61,6 +55,8 @@ int main(int argc, char** argv) {
       }
       options.noise.multiplicative_sigma = noise_sigma;
       options.noise_seed = seed;
+      const MappingDecision vw = make_mapper("vw-sdk")->map(shape, geometry);
+      const MappingPlan plan = build_plan_for_cost(shape, geometry, vw.cost);
       const VerificationReport report =
           verify_mapping_random(plan, seed, 4, options);
       std::cout << "non-ideal execution (adc-bits=" << adc_bits

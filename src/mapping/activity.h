@@ -6,8 +6,8 @@
 /// model prices, without running the functional simulator.
 ///
 /// Lives in mapping/ (not sim/) so that search objectives can score
-/// candidate windows by energy during the scan; sim/latency_model.h
-/// builds its per-layer latency/energy estimates on top of it.
+/// candidate windows by energy during the scan.  A layer's latency is
+/// its cycles times the cycle time (EnergyReport::latency_ns).
 
 #include "mapping/conv_shape.h"
 #include "mapping/cost_model.h"

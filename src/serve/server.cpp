@@ -45,6 +45,11 @@ static_assert(std::atomic<int>::is_always_lock_free,
               "lock-free atomics are required for async-signal-safety");
 std::atomic<int> g_signal{0};
 std::atomic<int> g_wake_fd{-1};  ///< self-pipe write end
+/// Handlers between their load of `g_wake_fd` and the end of their
+/// write.  ~WakePipe unpublishes the fd, then waits for this to reach 0
+/// before closing, so a late signal never writes into a closed (or
+/// reused) descriptor.
+std::atomic<int> g_handlers_in_flight{0};
 
 /// Every blocking wait goes through poll with this timeout.  Infinite
 /// is deliberate: the self-pipe converts signals into poll events, so
@@ -57,12 +62,14 @@ constexpr int kPollFallbackMs = 100;
 
 extern "C" void handle_signal(int signum) {
   g_signal = signum;
+  ++g_handlers_in_flight;  // before the load: ~WakePipe waits on it
   const int fd = g_wake_fd;
   if (fd >= 0) {
     const char byte = 1;
     const ssize_t ignored = ::write(fd, &byte, 1);  // async-signal-safe
     (void)ignored;  // a full pipe still means a pending wakeup
   }
+  --g_handlers_in_flight;
 }
 
 /// One response sink: a file descriptor plus the write lock that keeps
@@ -294,7 +301,15 @@ class WakePipe {
   }
 
   ~WakePipe() {
+    // Unpublish, then wait out any handler that loaded the old fd.  Both
+    // are sequentially consistent: a handler whose increment this load
+    // misses runs its own load later and reads -1.  A handler that
+    // interrupts this thread finishes before the loop resumes, so the
+    // wait cannot deadlock.
     g_wake_fd = -1;
+    while (g_handlers_in_flight != 0) {
+      std::this_thread::yield();
+    }
     for (const int fd : fds_) {
       if (fd >= 0) {
         ::close(fd);

@@ -35,16 +35,16 @@ struct VerificationReport {
 /// backend `options.ref_backend` resolves to with the plan's
 /// stride/padding, fanned out over `options.pool` (nullptr: the calling
 /// thread).  `workspace` is optional backend scratch, reusable across
-/// calls (the pipeline shares one across groups and stages).
+/// calls.
 Tensord reference_convolution(const MappingPlan& plan, const Tensord& ifm,
                               const Tensord& weights,
                               const ExecutionOptions& options = {},
                               ConvWorkspace* workspace = nullptr);
 
 /// Build the report comparing an already-run execution against an
-/// already-computed reference OFM.  Callers that need the executed
-/// tensor itself (the pipeline does) use this to verify without running
-/// the plan twice.
+/// already-computed reference OFM.  Callers that run the two halves
+/// themselves (perfbench's replay times them apart) use this to verify
+/// without running the plan twice.
 VerificationReport verify_execution(const MappingPlan& plan,
                                     const ExecutionResult& executed,
                                     const Tensord& reference);

@@ -36,9 +36,8 @@ namespace vwsdk {
 class ThreadPool;
 
 /// Reusable scratch memory for backend convolutions.  Passing the same
-/// workspace across calls (the pipeline does, across the groups and
-/// stages of a run) lets a backend keep its im2col buffer allocated
-/// instead of reallocating per convolution.  Backends that need no
+/// workspace across calls lets a backend keep its im2col buffer
+/// allocated instead of reallocating per convolution.  Backends that need no
 /// scratch simply ignore it.
 struct ConvWorkspace {
   /// The lowered im2col matrix, kernel_volume x windows, row-major.

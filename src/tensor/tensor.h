@@ -115,6 +115,8 @@ class Tensor {
 /// The simulator's working precision.
 using Tensord = Tensor<double>;
 
-std::ostream& operator<<(std::ostream& os, const Shape4& shape);
+inline std::ostream& operator<<(std::ostream& os, const Shape4& shape) {
+  return os << shape.to_string();
+}
 
 }  // namespace vwsdk

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/string_util.h"
 
 namespace vwsdk {
 
@@ -27,61 +26,6 @@ void fill_sequential(Tensord& tensor) {
     value = next;
     next += 1.0;
   }
-}
-
-namespace {
-
-/// Elements in one d0 slab (everything below the outermost dimension).
-Count slab_size(const Shape4& shape) {
-  return static_cast<Count>(shape.d1) * shape.d2 * shape.d3;
-}
-
-}  // namespace
-
-Tensord slice_channels(const Tensord& feature_map, Dim first, Dim count) {
-  const Shape4& shape = feature_map.shape();
-  VWSDK_REQUIRE(shape.d0 == 1, "slice_channels expects a (1, C, H, W) map");
-  VWSDK_REQUIRE(first >= 0 && count >= 0 && first + count <= shape.d1,
-                cat("channel slice [", first, ", ", first + count,
-                    ") out of range for ", shape.to_string()));
-  Tensord out(Shape4{1, count, shape.d2, shape.d3});
-  const Count plane = static_cast<Count>(shape.d2) * shape.d3;
-  const auto begin = feature_map.data().begin() +
-                     static_cast<std::ptrdiff_t>(first * plane);
-  std::copy(begin, begin + static_cast<std::ptrdiff_t>(count * plane),
-            out.data().begin());
-  return out;
-}
-
-Tensord slice_outer(const Tensord& tensor, Dim first, Dim count) {
-  const Shape4& shape = tensor.shape();
-  VWSDK_REQUIRE(first >= 0 && count >= 0 && first + count <= shape.d0,
-                cat("outer slice [", first, ", ", first + count,
-                    ") out of range for ", shape.to_string()));
-  Tensord out(Shape4{count, shape.d1, shape.d2, shape.d3});
-  const Count slab = slab_size(shape);
-  const auto begin =
-      tensor.data().begin() + static_cast<std::ptrdiff_t>(first * slab);
-  std::copy(begin, begin + static_cast<std::ptrdiff_t>(count * slab),
-            out.data().begin());
-  return out;
-}
-
-void write_channels(Tensord& dst, const Tensord& src, Dim first) {
-  const Shape4& into = dst.shape();
-  const Shape4& from = src.shape();
-  VWSDK_REQUIRE(into.d0 == 1 && from.d0 == 1,
-                "write_channels expects (1, C, H, W) maps");
-  VWSDK_REQUIRE(into.d2 == from.d2 && into.d3 == from.d3,
-                cat("write_channels spatial mismatch: ", into.to_string(),
-                    " vs ", from.to_string()));
-  VWSDK_REQUIRE(first >= 0 && first + from.d1 <= into.d1,
-                cat("channel write [", first, ", ", first + from.d1,
-                    ") out of range for ", into.to_string()));
-  const Count plane = static_cast<Count>(into.d2) * into.d3;
-  std::copy(src.data().begin(), src.data().end(),
-            dst.data().begin() +
-                static_cast<std::ptrdiff_t>(first * plane));
 }
 
 double max_abs_diff(const Tensord& a, const Tensord& b) {

@@ -20,20 +20,6 @@ void fill_random_real(Tensord& tensor, Rng& rng, double lo, double hi);
 /// every element value identifies its own coordinates).
 void fill_sequential(Tensord& tensor);
 
-/// Copy of channels [first, first + count) of a feature map
-/// (shape (1, C, H, W) -> (1, count, H, W)).  Used to run grouped
-/// convolutions one group at a time (see sim/pipeline.h).
-Tensord slice_channels(const Tensord& feature_map, Dim first, Dim count);
-
-/// Copy of outer slabs [first, first + count) along d0 -- for weight
-/// banks (OC, IC, KH, KW) this selects a contiguous output-channel
-/// range.
-Tensord slice_outer(const Tensord& tensor, Dim first, Dim count);
-
-/// Write `src` (a feature map) into `dst`'s channels starting at
-/// `first`; spatial extents must match.
-void write_channels(Tensord& dst, const Tensord& src, Dim first);
-
 /// Largest absolute element difference; shapes must match.
 double max_abs_diff(const Tensord& a, const Tensord& b);
 

@@ -10,7 +10,7 @@
 ///   pim/      crossbar arrays, converters, noise, energy
 ///   mapping/  cost model (Eqs. 1-8), utilization (Eq. 9), mapping plans
 ///   core/     the mapping algorithms (im2col, SMD, SDK, VW-SDK)
-///   sim/      functional execution, verification, pipelines
+///   sim/      functional execution, verification, chip dispatch, traffic
 ///   serve/    the resident ServiceApi and the NDJSON serving daemon
 
 #include "common/cli.h"
@@ -29,14 +29,12 @@
 #include "tensor/exec_backend.h"
 #include "tensor/gemm_backend.h"
 #include "tensor/im2col_ref.h"
-#include "tensor/pooling.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
 #include "nn/layer.h"
 #include "nn/model_zoo.h"
 #include "nn/network.h"
-#include "nn/network_builder.h"
 #include "nn/network_spec.h"
 
 #include "pim/adc.h"
@@ -49,7 +47,6 @@
 #include "mapping/conv_shape.h"
 #include "mapping/cost_model.h"
 #include "mapping/objective.h"
-#include "mapping/layout_render.h"
 #include "mapping/mapping_plan.h"
 #include "mapping/parallel_window.h"
 #include "mapping/plan_builder.h"
@@ -78,8 +75,6 @@
 #include "sim/des.h"
 #include "sim/dispatch.h"
 #include "sim/executor.h"
-#include "sim/latency_model.h"
-#include "sim/pipeline.h"
 #include "sim/traffic.h"
 #include "sim/verifier.h"
 

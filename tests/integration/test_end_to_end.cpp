@@ -4,14 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "core/network_optimizer.h"
+#include "mapping/activity.h"
 #include "mapping/plan_builder.h"
 #include "mapping/plan_validate.h"
 #include "mapping/utilization.h"
 #include "nn/model_zoo.h"
-#include "sim/latency_model.h"
-#include "sim/pipeline.h"
 #include "sim/verifier.h"
-#include "tensor/tensor_ops.h"
 
 namespace vwsdk {
 namespace {
@@ -60,14 +58,16 @@ TEST(EndToEnd, AnalyticEnergyTracksCycleReduction) {
   const EnergyParams params;
   double im2col_energy = 0.0;
   double vw_energy = 0.0;
+  const auto full_array_pj = [&](const char* mapper,
+                                  const ConvShape& shape) {
+    return analytic_activity(shape, geometry,
+                             make_mapper(mapper)->map(shape, geometry).cost)
+        .full_array_energy_pj(params, geometry.rows, geometry.cols);
+  };
   for (const ConvLayerDesc& layer : net.layers()) {
     const ConvShape shape = ConvShape::from_layer(layer);
-    im2col_energy +=
-        estimate_layer(make_mapper("im2col")->map(shape, geometry), params)
-            .energy_full_array_pj;
-    vw_energy +=
-        estimate_layer(make_mapper("vw-sdk")->map(shape, geometry), params)
-            .energy_full_array_pj;
+    im2col_energy += full_array_pj("im2col", shape);
+    vw_energy += full_array_pj("vw-sdk", shape);
   }
   // Cycle ratio is 20041/4294 = 4.67; the cell term dilutes it slightly.
   EXPECT_GT(im2col_energy / vw_energy, 3.0);
@@ -93,47 +93,6 @@ TEST(EndToEnd, StressMixAllMappersProduceValidPlans) {
       }
     }
   }
-}
-
-TEST(EndToEnd, ThreeStagePipelineWithPoolingVerifies) {
-  std::vector<StageSpec> stages;
-  StageSpec s1;
-  s1.conv = make_conv_layer("c1", 14, 3, 1, 4);
-  s1.pool_window = 2;
-  s1.pool_stride = 2;
-  stages.push_back(s1);
-  StageSpec s2;
-  s2.conv = make_conv_layer("c2", 6, 3, 4, 8);
-  stages.push_back(s2);
-  StageSpec s3;
-  s3.conv = make_conv_layer("c3", 4, 3, 8, 4);
-  s3.relu = false;
-  stages.push_back(s3);
-
-  Rng rng(555);
-  Tensord input = Tensord::feature_map(1, 14, 14);
-  fill_random_int(input, rng, 3);
-  const PipelineResult result =
-      run_pipeline(stages, input, *make_mapper("vw-sdk"), {128, 64});
-  EXPECT_TRUE(result.all_verified) << result.summary();
-  EXPECT_EQ(result.output.shape(), (Shape4{1, 4, 2, 2}));
-}
-
-TEST(EndToEnd, QuantizedPipelineStillRuns) {
-  std::vector<StageSpec> stages;
-  StageSpec s;
-  s.conv = make_conv_layer("c1", 8, 3, 2, 3);
-  stages.push_back(s);
-  Rng rng(9);
-  Tensord input = Tensord::feature_map(2, 8, 8);
-  fill_random_int(input, rng, 2);
-  ExecutionOptions options;
-  options.adc = ConverterModel(10, -1024.0, 1024.0);
-  const PipelineResult result = run_pipeline(
-      stages, input, *make_mapper("vw-sdk"), {96, 48}, options);
-  // Quantized: not exact, but cycles still match the model.
-  EXPECT_TRUE(result.stages[0].verification.cycles_match);
-  EXPECT_LE(result.stages[0].verification.max_abs_error, 8.0);
 }
 
 }  // namespace

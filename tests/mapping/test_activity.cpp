@@ -1,4 +1,4 @@
-#include "sim/latency_model.h"
+#include "mapping/activity.h"
 
 #include <gtest/gtest.h>
 
@@ -11,28 +11,33 @@ namespace {
 
 const ArrayGeometry k512x512{512, 512};
 
-TEST(LatencyModel, FewerCyclesMeansLessEnergyAndLatency) {
+EnergyReport activity_of(const MappingDecision& decision) {
+  return analytic_activity(decision.shape, decision.geometry, decision.cost);
+}
+
+TEST(Activity, FewerCyclesMeansLessEnergyAndLatency) {
   // The paper's core energy argument: VW-SDK's cycle reduction shows up
   // directly in conversion energy (full-array accounting: all converters
   // fire every cycle) and in latency.
   const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);
   const EnergyParams params;
-  const LatencyEstimate im2col =
-      estimate_layer(Im2colMapper().map(conv5, k512x512), params);
-  const LatencyEstimate vw =
-      estimate_layer(VwSdkMapper().map(conv5, k512x512), params);
+  const EnergyReport im2col = activity_of(Im2colMapper().map(conv5, k512x512));
+  const EnergyReport vw = activity_of(VwSdkMapper().map(conv5, k512x512));
+  const auto full_array_pj = [&](const EnergyReport& report) {
+    return report.full_array_energy_pj(params, k512x512.rows, k512x512.cols);
+  };
   EXPECT_LT(vw.cycles, im2col.cycles);
-  EXPECT_LT(vw.latency_ns, im2col.latency_ns);
-  EXPECT_LT(vw.energy_full_array_pj, im2col.energy_full_array_pj);
+  EXPECT_LT(vw.latency_ns(params), im2col.latency_ns(params));
+  EXPECT_LT(full_array_pj(vw), full_array_pj(im2col));
   // Full-array energy is proportional to cycles up to the (small) cell
   // term, so the ratios track each other.
-  EXPECT_NEAR(im2col.energy_full_array_pj / vw.energy_full_array_pj,
+  EXPECT_NEAR(full_array_pj(im2col) / full_array_pj(vw),
               static_cast<double>(im2col.cycles) /
                   static_cast<double>(vw.cycles),
               0.15);
 }
 
-TEST(LatencyModel, ActiveAccountingNuancePinned) {
+TEST(Activity, ActiveAccountingNuancePinned) {
   // Under per-active-column accounting the picture is subtler: VW-SDK's
   // channel-granular AR on conv5 is 4 vs im2col's element-granular 3, so
   // each output needs more partial-sum conversions and VW-SDK's *active*
@@ -41,62 +46,28 @@ TEST(LatencyModel, ActiveAccountingNuancePinned) {
   // here so it does not silently change.
   const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);
   const EnergyParams params;
-  const LatencyEstimate im2col =
-      estimate_layer(Im2colMapper().map(conv5, k512x512), params);
-  const LatencyEstimate vw =
-      estimate_layer(VwSdkMapper().map(conv5, k512x512), params);
-  EXPECT_GT(vw.energy_pj, im2col.energy_pj);
+  const EnergyReport im2col = activity_of(Im2colMapper().map(conv5, k512x512));
+  const EnergyReport vw = activity_of(VwSdkMapper().map(conv5, k512x512));
+  EXPECT_GT(vw.energy_pj(params), im2col.energy_pj(params));
 }
 
-TEST(LatencyModel, ConversionsDominateWithDefaults) {
+TEST(Activity, ConversionsDominateWithDefaults) {
   const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);
-  const LatencyEstimate estimate =
-      estimate_layer(VwSdkMapper().map(conv5, k512x512), EnergyParams{});
-  EXPECT_GT(estimate.conversion_fraction, 0.80);
+  const EnergyReport vw = activity_of(VwSdkMapper().map(conv5, k512x512));
+  EXPECT_GT(vw.conversion_fraction(EnergyParams{}), 0.80);
 }
 
-TEST(LatencyModel, ParallelArraysShortenLatencyNotEnergy) {
-  const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);
-  const EnergyParams params;
-  const MappingDecision decision = VwSdkMapper().map(conv5, k512x512);
-  const LatencyEstimate serial = estimate_layer(decision, params, 1);
-  const LatencyEstimate parallel = estimate_layer(decision, params, 4);
-  EXPECT_LT(parallel.latency_ns, serial.latency_ns);
-  EXPECT_DOUBLE_EQ(parallel.energy_pj, serial.energy_pj);
-  // conv5's VW mapping has AR*AC = 4 tiles: latency / 4.
-  EXPECT_DOUBLE_EQ(parallel.latency_ns, serial.latency_ns / 4.0);
-}
-
-TEST(LatencyModel, ParallelismCappedByTiles) {
-  const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);
-  const MappingDecision decision = VwSdkMapper().map(conv5, k512x512);
-  const LatencyEstimate p4 = estimate_layer(decision, EnergyParams{}, 4);
-  const LatencyEstimate p64 = estimate_layer(decision, EnergyParams{}, 64);
-  EXPECT_DOUBLE_EQ(p4.latency_ns, p64.latency_ns);  // only 4 tiles exist
-  EXPECT_THROW(estimate_layer(decision, EnergyParams{}, 0), InvalidArgument);
-}
-
-TEST(LatencyModel, AnalyticActivityRequiresFeasible) {
+TEST(Activity, RequiresFeasibleCost) {
   const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);
   const CycleCost bad = vw_cost(conv5, k512x512, {30, 30});
   EXPECT_THROW(analytic_activity(conv5, k512x512, bad), InvalidArgument);
-}
-
-TEST(LatencyModel, ToStringSummarizes) {
-  const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);
-  const LatencyEstimate estimate =
-      estimate_layer(VwSdkMapper().map(conv5, k512x512), EnergyParams{});
-  const std::string text = estimate.to_string();
-  EXPECT_NE(text.find("cycles=5832"), std::string::npos);
-  EXPECT_NE(text.find("pJ"), std::string::npos);
 }
 
 // Input reuse (the paper's §I motivation for SDK-style mappings): every
 // computing cycle drives each bound row with one fetched input element,
 // so the analytic row activations are the layer's input-fetch traffic.
 Count input_fetches(const MappingDecision& decision) {
-  return analytic_activity(decision.shape, decision.geometry, decision.cost)
-      .row_activations;
+  return activity_of(decision).row_activations;
 }
 
 TEST(Reuse, Im2colFetchesEachInteriorElementKernelAreaTimes) {

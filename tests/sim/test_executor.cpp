@@ -5,9 +5,9 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "mapping/activity.h"
 #include "mapping/cost_model.h"
 #include "mapping/plan_builder.h"
-#include "sim/latency_model.h"
 #include "tensor/conv_ref.h"
 #include "tensor/tensor_ops.h"
 

@@ -1,5 +1,6 @@
 #include "tensor/exec_backend.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -137,7 +138,7 @@ ParityCase capped_case(const ConvLayerDesc& layer) {
 // verification paths run.
 TEST(BackendParity, EveryZooLayerShape) {
   const RefBackend& gemm = ref_backend("gemm");
-  ConvWorkspace workspace;  // shared across cases, like the pipeline
+  ConvWorkspace workspace;  // shared across cases
   std::set<std::string> seen;
   std::uint64_t seed = 100;
   for (const std::string& model : model_names()) {
@@ -192,9 +193,28 @@ TEST(BackendParity, StridePadKernelSandwich) {
   expect_parity(c, gemm, &workspace, seed);
 }
 
-// Grouped execution the way the pipeline runs it: slice each group's
-// channels, convolve through both backends (gemm reusing one workspace
-// across groups), scatter into the layer OFM, compare layer-level.
+/// Group `g` of a tensor whose groups are contiguous `shape`-sized
+/// blocks: the channels of a (1, C, H, W) map, or the output banks of
+/// (OC, IC, KH, KW) weights.
+Tensord group_block(const Tensord& tensor, const Shape4& shape, Dim g) {
+  Tensord block(shape);
+  const auto first = tensor.data().begin() +
+                     static_cast<std::ptrdiff_t>(g * shape.size());
+  std::copy(first, first + static_cast<std::ptrdiff_t>(shape.size()),
+            block.data().begin());
+  return block;
+}
+
+/// Write `block` over group `g` of `tensor` (the inverse of group_block).
+void write_group_block(Tensord& tensor, const Tensord& block, Dim g) {
+  std::copy(block.data().begin(), block.data().end(),
+            tensor.data().begin() +
+                static_cast<std::ptrdiff_t>(g * block.shape().size()));
+}
+
+// Grouped execution one group at a time: slice each group's channels,
+// convolve through both backends (gemm reusing one workspace across
+// groups), scatter into the layer OFM, compare layer-level.
 TEST(BackendParity, GroupedAndDepthwiseSlices) {
   const RefBackend& gemm = ref_backend("gemm");
   ConvWorkspace workspace;
@@ -211,15 +231,16 @@ TEST(BackendParity, GroupedAndDepthwiseSlices) {
                                               image - kernel + 1);
     Tensord via_gemm = via_scalar;
     for (Dim g = 0; g < groups; ++g) {
-      const Tensord group_ifm = slice_channels(ifm, g * group_ic, group_ic);
-      const Tensord group_weights = slice_outer(weights, g * group_oc,
-                                                group_oc);
-      write_channels(via_scalar, conv2d_direct(group_ifm, group_weights),
-                     g * group_oc);
-      write_channels(via_gemm,
-                     gemm.conv2d(group_ifm, group_weights, ConvConfig{},
-                                 &workspace),
-                     g * group_oc);
+      const Tensord group_ifm =
+          group_block(ifm, Shape4{1, group_ic, image, image}, g);
+      const Tensord group_weights = group_block(
+          weights, Shape4{group_oc, group_ic, kernel, kernel}, g);
+      write_group_block(via_scalar, conv2d_direct(group_ifm, group_weights),
+                        g);
+      write_group_block(via_gemm,
+                        gemm.conv2d(group_ifm, group_weights, ConvConfig{},
+                                    &workspace),
+                        g);
     }
     EXPECT_TRUE(exactly_equal(via_scalar, via_gemm))
         << groups << " groups";

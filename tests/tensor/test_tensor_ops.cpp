@@ -81,55 +81,5 @@ TEST(TensorOps, NegativeMagnitudeRejected) {
   EXPECT_THROW(fill_random_int(t, rng, -1), InvalidArgument);
 }
 
-TEST(TensorOps, SliceChannelsCopiesTheRange) {
-  Tensord fm = Tensord::feature_map(4, 2, 3);
-  fill_sequential(fm);  // value == flat index, so positions identify
-  const Tensord slice = slice_channels(fm, 1, 2);
-  EXPECT_EQ(slice.shape(), (Shape4{1, 2, 2, 3}));
-  for (Dim c = 0; c < 2; ++c) {
-    for (Dim y = 0; y < 2; ++y) {
-      for (Dim x = 0; x < 3; ++x) {
-        EXPECT_EQ(slice.at(c, y, x), fm.at(c + 1, y, x));
-      }
-    }
-  }
-  // Full-range slice is an exact copy; empty slice is legal.
-  EXPECT_TRUE(exactly_equal(slice_channels(fm, 0, 4), fm));
-  EXPECT_EQ(slice_channels(fm, 2, 0).shape(), (Shape4{1, 0, 2, 3}));
-}
-
-TEST(TensorOps, SliceOuterSelectsWeightBanks) {
-  Tensord weights = Tensord::weights(6, 2, 3, 3);
-  fill_sequential(weights);
-  const Tensord bank = slice_outer(weights, 4, 2);
-  EXPECT_EQ(bank.shape(), (Shape4{2, 2, 3, 3}));
-  EXPECT_EQ(bank.at(0, 0, 0, 0), weights.at(4, 0, 0, 0));
-  EXPECT_EQ(bank.at(1, 1, 2, 2), weights.at(5, 1, 2, 2));
-}
-
-TEST(TensorOps, WriteChannelsRoundTripsSlices) {
-  Tensord fm = Tensord::feature_map(5, 3, 3);
-  fill_sequential(fm);
-  Tensord rebuilt = Tensord::feature_map(5, 3, 3);
-  for (Dim c = 0; c < 5; ++c) {
-    write_channels(rebuilt, slice_channels(fm, c, 1), c);
-  }
-  EXPECT_TRUE(exactly_equal(rebuilt, fm));
-}
-
-TEST(TensorOps, SliceValidation) {
-  Tensord fm = Tensord::feature_map(4, 2, 2);
-  EXPECT_THROW(slice_channels(fm, 3, 2), InvalidArgument);
-  EXPECT_THROW(slice_channels(fm, -1, 1), InvalidArgument);
-  Tensord weights = Tensord::weights(2, 1, 1, 1);
-  EXPECT_THROW(slice_channels(weights, 0, 1), InvalidArgument);  // d0 != 1
-  EXPECT_THROW(slice_outer(weights, 1, 2), InvalidArgument);
-  Tensord small = Tensord::feature_map(1, 2, 2);
-  Tensord wrong = Tensord::feature_map(1, 3, 3);
-  EXPECT_THROW(write_channels(fm, wrong, 0), InvalidArgument);
-  EXPECT_THROW(write_channels(small, slice_channels(fm, 0, 2), 0),
-               InvalidArgument);
-}
-
 }  // namespace
 }  // namespace vwsdk
