@@ -259,18 +259,6 @@ MappingPlan build_smd_plan(const ConvShape& shape,
   return plan;
 }
 
-MappingPlan build_plan_for_window(const ConvShape& shape,
-                                  const ArrayGeometry& geometry,
-                                  const ParallelWindow& pw) {
-  if (pw == kernel_window(shape)) {
-    return build_im2col_plan(shape, geometry);
-  }
-  const CycleCost cost = vw_cost(shape, geometry, pw);
-  VWSDK_REQUIRE(cost.feasible, cat("window ", pw.to_string(),
-                                   " infeasible on ", geometry.to_string()));
-  return build_windowed_plan(shape, geometry, cost);
-}
-
 MappingPlan build_plan_for_cost(const ConvShape& shape,
                                 const ArrayGeometry& geometry,
                                 const CycleCost& cost) {

@@ -63,13 +63,6 @@ MappingPlan build_im2col_plan(const ConvShape& shape,
 MappingPlan build_smd_plan(const ConvShape& shape,
                            const ArrayGeometry& geometry);
 
-/// Convenience: build the plan for a window chosen by a mapper, using
-/// channel tiling (VW semantics).  `pw` equal to the kernel window yields
-/// the im2col plan.
-MappingPlan build_plan_for_window(const ConvShape& shape,
-                                  const ArrayGeometry& geometry,
-                                  const ParallelWindow& pw);
-
 /// Dispatch on a CycleCost produced by any of the cost functions:
 /// SMD costs build SMD plans, element-granular costs build im2col plans,
 /// channel-granular costs build windowed plans.  The rebuilt plan's cost

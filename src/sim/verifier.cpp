@@ -9,8 +9,7 @@ namespace vwsdk {
 
 Tensord reference_convolution(const MappingPlan& plan, const Tensord& ifm,
                               const Tensord& weights,
-                              const ExecutionOptions& options,
-                              ConvWorkspace* workspace) {
+                              const ExecutionOptions& options) {
   ConvConfig config;
   config.stride_w = plan.shape.stride_w;
   config.stride_h = plan.shape.stride_h;
@@ -18,7 +17,7 @@ Tensord reference_convolution(const MappingPlan& plan, const Tensord& ifm,
   config.pad_h = plan.shape.pad_h;
   const RefBackend& backend =
       ref_backend(resolve_ref_backend(options.ref_backend));
-  return backend.conv2d(ifm, weights, config, workspace, options.pool);
+  return backend.conv2d(ifm, weights, config, nullptr, options.pool);
 }
 
 VerificationReport verify_execution(const MappingPlan& plan,

@@ -34,12 +34,10 @@ struct VerificationReport {
 /// The reference OFM for `plan` on (ifm, weights), computed by the
 /// backend `options.ref_backend` resolves to with the plan's
 /// stride/padding, fanned out over `options.pool` (nullptr: the calling
-/// thread).  `workspace` is optional backend scratch, reusable across
-/// calls.
+/// thread).
 Tensord reference_convolution(const MappingPlan& plan, const Tensord& ifm,
                               const Tensord& weights,
-                              const ExecutionOptions& options = {},
-                              ConvWorkspace* workspace = nullptr);
+                              const ExecutionOptions& options = {});
 
 /// Build the report comparing an already-run execution against an
 /// already-computed reference OFM.  Callers that run the two halves

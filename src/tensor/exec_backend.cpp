@@ -29,8 +29,8 @@ const RefBackend& scalar_backend() {
   return backend;
 }
 
-/// Blocked im2col + tiled GEMM fanned out across the caller's pool:
-/// bitwise identical to scalar on integer tensors, the fast default.
+/// Blocked im2col + register-blocked GEMM fanned out across the caller's
+/// pool: bitwise identical to scalar on integer tensors, the fast default.
 const RefBackend& gemm_backend() {
   static const GemmBackend backend;
   return backend;

@@ -16,9 +16,9 @@
 /// presentation order:
 ///   * `scalar` (alias `direct`) -- conv2d_direct, the obviously-correct
 ///     oracle;
-///   * `gemm` (alias `im2col-gemm`) -- blocked im2col + tiled GEMM on
-///     the caller's thread pool (tensor/gemm_backend.h), the fast
-///     default.
+///   * `gemm` (alias `im2col-gemm`) -- blocked im2col + register-blocked
+///     GEMM on the caller's thread pool (tensor/gemm_backend.h), the
+///     fast default.
 ///
 /// Contract: on integer-valued tensors (the verification convention,
 /// see tensor.h) every backend must produce an OFM bitwise identical to

@@ -3,19 +3,14 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "common/math_util.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "tensor/gemm_kernel.h"
 
 namespace vwsdk {
 
 namespace {
-
-// Cache blocking: the inner product walks kKc kernel rows of a kNc-wide
-// column stripe, so the working set (one A sliver, one B block, one C
-// stripe) stays L1/L2-resident; the chunk of output rows handed to one
-// thread by parallel_chunks plays the `mc` role.
-constexpr Count kKc = 256;
-constexpr Count kNc = 128;
 
 // Below this many MACs the pool dispatch overhead dominates the
 // arithmetic; run on the calling thread instead (the result is bitwise
@@ -26,8 +21,8 @@ constexpr Count kParallelCutoffMacs = Count{1} << 15;
 /// `columns` (kernel_volume x windows, row-major).  Row r corresponds
 /// to kernel element (ic, ky, kx) with r = im2col_row_index(ic, ky,
 /// kx); out-of-range taps (zero padding) become explicit zeros, so
-/// every element of the row range is written.  Kept out of line, like
-/// multiply_rows: see there.
+/// every element of the row range is written.  Kept out of line for the
+/// reason the kernel's entry point is (tensor/gemm_microkernel.h).
 [[gnu::noinline]] void pack_rows(const Tensord& ifm, Dim kh, Dim kw,
                                  const ConvConfig& config, Dim oh, Dim ow,
                                  Count row_begin, Count row_end,
@@ -60,36 +55,36 @@ constexpr Count kParallelCutoffMacs = Count{1} << 15;
   }
 }
 
-/// C[m, :] += A[m, :] * B for output rows [m_begin, m_end): column
-/// stripes of kNc, kernel blocks of kKc, then a contiguous axpy.  Per
-/// output element the terms accumulate in ascending k -- the same order
-/// for any blocking or thread chunking, which is what makes the backend
-/// deterministic (see gemm_backend.h).  Kept out of line: inlined into
-/// its only caller, the parallel_chunks lambda, GCC 12 spills the axpy's
-/// loop bounds to the stack and the kernel runs ~1.6x slower.
-[[gnu::noinline]] void multiply_rows(const double* a, const double* b,
-                                     double* c, Count m_begin, Count m_end,
-                                     Count k_total, Count n_total) {
-  for (Count n0 = 0; n0 < n_total; n0 += kNc) {
-    const Count nb = std::min(kNc, n_total - n0);
-    for (Count k0 = 0; k0 < k_total; k0 += kKc) {
-      const Count k_end = std::min(k0 + kKc, k_total);
-      for (Count m = m_begin; m < m_end; ++m) {
-        const double* a_row = a + m * k_total;
-        double* c_row = c + m * n_total + n0;
-        for (Count k = k0; k < k_end; ++k) {
-          const double weight = a_row[k];
-          const double* b_row = b + k * n_total + n0;
-          for (Count n = 0; n < nb; ++n) {
-            c_row[n] += weight * b_row[n];
-          }
-        }
-      }
-    }
-  }
+}  // namespace
+
+Count GemmKernel::units(const GemmOperands& operands) const {
+  return ceil_div(operands.m, mr) * ceil_div(operands.n, nr);
 }
 
-}  // namespace
+const std::vector<GemmVariant>& gemm_variants() {
+  static const std::vector<GemmVariant> variants = [] {
+    std::vector<GemmVariant> compiled;
+#if defined(VWSDK_GEMM_X86)
+    __builtin_cpu_init();
+    compiled.push_back(
+        {gemm_kernel_avx512(), __builtin_cpu_supports("avx512f") != 0});
+    compiled.push_back(
+        {gemm_kernel_avx2(), __builtin_cpu_supports("avx2") != 0});
+#endif
+    compiled.push_back({gemm_kernel_baseline(), true});
+    return compiled;
+  }();
+  return variants;
+}
+
+const GemmKernel& gemm_kernel() {
+  // The baseline always runs, so the search cannot come up empty.
+  static const GemmKernel& chosen =
+      std::find_if(gemm_variants().begin(), gemm_variants().end(),
+                   [](const GemmVariant& v) { return v.runs_here; })
+          ->kernel;
+  return chosen;
+}
 
 Tensord GemmBackend::conv2d(const Tensord& ifm, const Tensord& weights,
                             const ConvConfig& config,
@@ -125,9 +120,12 @@ Tensord GemmBackend::conv2d(const Tensord& ifm, const Tensord& weights,
   parallel_chunks(fan_out, rows, [&](Count begin, Count end) {
     pack_rows(ifm, kh, kw, config, oh, ow, begin, end, columns);
   });
-  parallel_chunks(fan_out, oc, [&](Count begin, Count end) {
-    multiply_rows(a, columns, c, begin, end, rows, cols);
-  });
+  const GemmKernel& kernel = gemm_kernel();
+  const GemmOperands operands{a, columns, c, oc, rows, cols};
+  parallel_chunks(fan_out, kernel.units(operands),
+                  [&](Count begin, Count end) {
+                    kernel.multiply(operands, begin, end);
+                  });
   return ofm;
 }
 

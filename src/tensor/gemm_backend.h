@@ -1,31 +1,40 @@
 #pragma once
 
 /// @file gemm_backend.h
-/// The fast reference-convolution backend: blocked im2col + tiled GEMM.
+/// The fast reference-convolution backend: blocked im2col +
+/// register-blocked GEMM.
 ///
 /// This is the software analogue of the paper's im2col framing (§II-A)
 /// turned into an execution engine: the input feature map is lowered
 /// into a kernel_volume x windows matrix (rows in exactly the
 /// im2col_row_index order, so the weight tensor's raw storage already
 /// IS the left-hand matrix), and the convolution becomes one dense
-/// matrix-matrix product, cache-blocked and fanned out across the
-/// caller's thread pool.
+/// matrix-matrix product on the register-blocked micro-kernel of
+/// tensor/gemm_kernel.h, fanned out over the caller's thread pool.
+/// The kernel comes in one variant per ISA (AVX-512, AVX2, baseline),
+/// each compiled at its own vector width; the widest the CPU runs is
+/// chosen once per process, and no flag or environment variable
+/// selects it.  Each unit of work is one column stripe of one row
+/// block of the output, whose slice of the im2col matrix is packed
+/// into a panel of at most 48 KiB.
 ///
 /// Determinism contract (what lets `gemm` replace the scalar oracle on
-/// the verification paths): every output element accumulates its terms
-/// in ascending kernel-row order, each output row is computed wholly by
-/// one thread, and zero weights are not skipped -- so the result is
-/// bitwise identical for any pool (or none), and bitwise identical to
-/// conv2d_direct on integer-valued tensors (integer sums are exact in
-/// double regardless of association).  Pinned by
-/// tests/tensor/test_exec_backend.cpp and gated by bench_exec.
+/// the verification paths): each output element sums in ascending k on
+/// one thread -- +0.0, then every product, rounded, added in ascending
+/// kernel-row order, with no fused multiply-add and no zero weight
+/// skipped.  The result is therefore bitwise identical for every
+/// variant and any pool (or none), on any data, and bitwise identical
+/// to conv2d_direct on integer-valued tensors (integer sums are exact
+/// in double regardless of association).  Pinned by
+/// tests/tensor/test_exec_backend.cpp and
+/// tests/tensor/test_gemm_kernel.cpp, and gated by bench_exec.
 
 #include "tensor/exec_backend.h"
 
 namespace vwsdk {
 
-/// Blocked im2col + tiled GEMM convolution, fanned out over the pool
-/// the caller passes (nullptr runs it on the calling thread).
+/// Blocked im2col + register-blocked GEMM convolution, fanned out over
+/// the pool the caller passes (nullptr runs it on the calling thread).
 class GemmBackend : public RefBackend {
  public:
   Tensord conv2d(const Tensord& ifm, const Tensord& weights,

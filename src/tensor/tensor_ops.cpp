@@ -14,20 +14,6 @@ void fill_random_int(Tensord& tensor, Rng& rng, int magnitude) {
   }
 }
 
-void fill_random_real(Tensord& tensor, Rng& rng, double lo, double hi) {
-  for (double& value : tensor.data()) {
-    value = rng.uniform_double(lo, hi);
-  }
-}
-
-void fill_sequential(Tensord& tensor) {
-  double next = 0.0;
-  for (double& value : tensor.data()) {
-    value = next;
-    next += 1.0;
-  }
-}
-
 double max_abs_diff(const Tensord& a, const Tensord& b) {
   VWSDK_REQUIRE(a.shape() == b.shape(),
                 "max_abs_diff requires matching shapes");
@@ -40,14 +26,6 @@ double max_abs_diff(const Tensord& a, const Tensord& b) {
 
 bool exactly_equal(const Tensord& a, const Tensord& b) {
   return a.shape() == b.shape() && a.data() == b.data();
-}
-
-double sum(const Tensord& tensor) {
-  double total = 0.0;
-  for (const double value : tensor.data()) {
-    total += value;
-  }
-  return total;
 }
 
 }  // namespace vwsdk

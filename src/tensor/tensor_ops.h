@@ -13,20 +13,10 @@ namespace vwsdk {
 /// tensor.h).  Deterministic for a given (rng seed, shape).
 void fill_random_int(Tensord& tensor, Rng& rng, int magnitude);
 
-/// Fill with uniform real values in [lo, hi).
-void fill_random_real(Tensord& tensor, Rng& rng, double lo, double hi);
-
-/// Fill with 0, 1, 2, ... (useful for position-sensitive layout tests:
-/// every element value identifies its own coordinates).
-void fill_sequential(Tensord& tensor);
-
 /// Largest absolute element difference; shapes must match.
 double max_abs_diff(const Tensord& a, const Tensord& b);
 
 /// True if all elements match exactly (shape included).
 bool exactly_equal(const Tensord& a, const Tensord& b);
-
-/// Sum of all elements.
-double sum(const Tensord& tensor);
 
 }  // namespace vwsdk

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "mapping/plan_validate.h"
+#include "support/support.h"
 
 namespace vwsdk {
 namespace {

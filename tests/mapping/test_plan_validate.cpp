@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "mapping/plan_builder.h"
+#include "support/support.h"
 
 namespace vwsdk {
 namespace {

@@ -10,6 +10,7 @@
 #include "mapping/plan_builder.h"
 #include "tensor/conv_ref.h"
 #include "tensor/tensor_ops.h"
+#include "support/support.h"
 
 namespace vwsdk {
 namespace {

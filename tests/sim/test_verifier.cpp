@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "mapping/plan_builder.h"
 #include "tensor/tensor_ops.h"
+#include "support/support.h"
 
 namespace vwsdk {
 namespace {
@@ -81,24 +82,6 @@ TEST(Verifier, UnknownBackendThrowsNotFound) {
   ExecutionOptions options;
   options.ref_backend = "no-such-backend";
   EXPECT_THROW(verify_mapping_random(plan, 1, 1, options), NotFound);
-}
-
-TEST(Verifier, ReferenceConvolutionReusesWorkspace) {
-  const ConvShape shape = ConvShape::square(6, 3, 2, 3);
-  const MappingPlan plan = build_im2col_plan(shape, kSmall);
-  Rng rng(5);
-  Tensord ifm = Tensord::feature_map(2, 6, 6);
-  Tensord weights = Tensord::weights(3, 2, 3, 3);
-  fill_random_int(ifm, rng, 2);
-  fill_random_int(weights, rng, 2);
-  ConvWorkspace workspace;
-  const Tensord first = reference_convolution(plan, ifm, weights, {},
-                                              &workspace);
-  // A second call through the now-sized workspace must not perturb
-  // the result.
-  const Tensord second = reference_convolution(plan, ifm, weights, {},
-                                               &workspace);
-  EXPECT_TRUE(exactly_equal(first, second));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "common/random.h"
 #include "tensor/tensor_ops.h"
+#include "support/support.h"
 
 namespace vwsdk {
 namespace {

@@ -247,10 +247,10 @@ TEST(BackendParity, GroupedAndDepthwiseSlices) {
   }
 }
 
-// Bitwise determinism across pools: each output row is computed wholly
-// by one thread in ascending-k order, so neither the pool size nor
-// running on the calling thread alone may change a single bit.  The case
-// is sized past the backend's inline cutoff so the pool actually runs.
+// Bitwise determinism across pools: each output element sums in
+// ascending k on one thread, so neither the pool size nor running on
+// the calling thread alone may change a single bit.  The case is sized
+// past the backend's inline cutoff so the pool actually runs.
 TEST(GemmBackend, DeterministicAcrossThreadCounts) {
   Rng rng(4242);
   Tensord ifm = Tensord::feature_map(8, 16, 16);
@@ -274,6 +274,73 @@ TEST(GemmBackend, DeterministicAcrossThreadCounts) {
   }
   // ...and identical to the oracle, threads notwithstanding.
   EXPECT_TRUE(exactly_equal(base, conv2d_direct(ifm, weights, config)));
+}
+
+/// The convolution as +0.0 plus each product in ascending im2col-row
+/// order (ic, then ky, then kx; zero-padding taps included), one output
+/// element at a time.
+Tensord ascending_k_conv(const Tensord& ifm, const Tensord& weights,
+                         const ConvConfig& config) {
+  const Shape4& in = ifm.shape();
+  const Shape4& w = weights.shape();
+  const Dim oh = conv_output_extent(in.d2, w.d2, config.stride_h, config.pad_h);
+  const Dim ow = conv_output_extent(in.d3, w.d3, config.stride_w, config.pad_w);
+  Tensord ofm = Tensord::feature_map(w.d0, oh, ow);
+  for (Dim oc = 0; oc < w.d0; ++oc) {
+    for (Dim oy = 0; oy < oh; ++oy) {
+      for (Dim ox = 0; ox < ow; ++ox) {
+        double total = 0.0;
+        for (Dim ic = 0; ic < w.d1; ++ic) {
+          for (Dim ky = 0; ky < w.d2; ++ky) {
+            for (Dim kx = 0; kx < w.d3; ++kx) {
+              const Dim y = oy * config.stride_h + ky - config.pad_h;
+              const Dim x = ox * config.stride_w + kx - config.pad_w;
+              const bool inside = y >= 0 && y < in.d2 && x >= 0 && x < in.d3;
+              total += weights.at(oc, ic, ky, kx) *
+                       (inside ? ifm.at(0, ic, y, x) : 0.0);
+            }
+          }
+        }
+        ofm.at(0, oc, oy, ox) = total;
+      }
+    }
+  }
+  return ofm;
+}
+
+// The integer case above cannot see the summation order: integer sums
+// are exact in any order.  On non-integer data (element i holds
+// i * 0.37, shifted to mix signs) the order decides the low bits, so
+// the backend must reproduce the ascending-k loop exactly with no pool
+// and with pools of 1, 4 and 16.  Kernel volume 32 * 3 * 3 = 288 spans
+// two k blocks; 17 output channels and 14 * 14 windows leave partial
+// register blocks in both directions.
+TEST(GemmBackend, NonIntegerSumsAscendInKForAnyPool) {
+  Tensord ifm = Tensord::feature_map(32, 14, 14);
+  Tensord weights = Tensord::weights(17, 32, 3, 3);
+  for (std::size_t i = 0; i < ifm.data().size(); ++i) {
+    ifm.data()[i] = static_cast<double>(i) * 0.37 - 700.0;
+  }
+  for (std::size_t i = 0; i < weights.data().size(); ++i) {
+    weights.data()[i] = static_cast<double>(i) * 0.37 - 900.0;
+  }
+  ConvConfig config;
+  config.pad_h = 1;
+  config.pad_w = 1;
+  const Tensord expected = ascending_k_conv(ifm, weights, config);
+
+  const GemmBackend gemm;
+  ThreadPool one(1);
+  ThreadPool four(4);
+  ThreadPool sixteen(16);
+  EXPECT_TRUE(exactly_equal(
+      expected, gemm.conv2d(ifm, weights, config, nullptr, nullptr)))
+      << "no pool";
+  for (ThreadPool* pool : {&one, &four, &sixteen}) {
+    EXPECT_TRUE(exactly_equal(
+        expected, gemm.conv2d(ifm, weights, config, nullptr, pool)))
+        << pool->size() << " worker(s)";
+  }
 }
 
 }  // namespace

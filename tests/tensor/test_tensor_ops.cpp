@@ -1,4 +1,5 @@
 #include "tensor/tensor_ops.h"
+#include "support/support.h"
 
 #include <gtest/gtest.h>
 

@@ -2,7 +2,7 @@
 """Repo-invariant lint: the static checks the compiler cannot express.
 
 Registered as the ctest ``lint.invariants`` (label "lint"), mirroring
-tools/check_doc_comments.py.  Nine rules, each enforcing a contract the
+tools/check_doc_comments.py.  Ten rules, each enforcing a contract the
 codebase documents elsewhere:
 
   determinism      no nondeterminism sources (std::rand, time(),
@@ -49,6 +49,13 @@ codebase documents elsewhere:
                    `new ThreadPool`.  Every other fan-out borrows a
                    `ThreadPool*`, where nullptr means the calling
                    thread (docs/CONCURRENCY.md).
+  isa-flags        no `-march=native` in any CMakeLists.txt or src/ file
+                   and no `__attribute__((target ...))` in src/: the
+                   GEMM kernel is compiled once per ISA with explicit
+                   flags (src/tensor/gemm_kernel.h) and dispatched at
+                   run time, so a build must not take its ISA from the
+                   machine that compiles it, nor a function its ISA
+                   from an attribute the per-unit flags do not see.
 
 ``--self-test`` first runs every rule against embedded known-bad
 snippets and fails if any rule has gone blind; then the real tree is
@@ -563,6 +570,45 @@ def rule_one_pool(tree: dict[str, str]) -> list[Failure]:
 
 
 # --------------------------------------------------------------------------
+# Rule: isa-flags
+# --------------------------------------------------------------------------
+
+ISA_FLAG_PATTERNS = [
+    (re.compile(r"-march=native\b"), "`-march=native`"),
+    (re.compile(r"__attribute__\s*\(\(\s*target\b"),
+     "`__attribute__((target ...))`"),
+]
+
+
+def strip_cmake_comments(text: str) -> str:
+    """CMake text with `#` line comments blanked (no `#` appears inside
+    a string in this repo's CMake files)."""
+    return re.sub(r"#[^\n]*", "", text)
+
+
+def rule_isa_flags(tree: dict[str, str]) -> list[Failure]:
+    """The ISA comes from the per-unit flags of the GEMM kernel units
+    and the run-time dispatch, never from the build host or a function
+    attribute."""
+    failures = []
+    for path, text in sorted(tree.items()):
+        if path.endswith("CMakeLists.txt"):
+            code = strip_cmake_comments(text)
+        elif path.startswith("src/") and path.endswith((".h", ".cpp")):
+            code = strip_comments(text)
+        else:
+            continue
+        for pattern, what in ISA_FLAG_PATTERNS:
+            for match in pattern.finditer(code):
+                failures.append(
+                    f"{path}:{line_of(code, match.start())}: {what} -- "
+                    "compile each ISA in its own unit with explicit flags "
+                    "and dispatch at run time (isa-flags rule, "
+                    "src/tensor/gemm_kernel.h)")
+    return failures
+
+
+# --------------------------------------------------------------------------
 # Self-tests: one known-bad snippet per rule; a rule that stays silent
 # on its bad snippet has gone blind and the lint run fails.
 # --------------------------------------------------------------------------
@@ -698,6 +744,13 @@ void register_orphan_mapper(MapperRegistry& registry) { registry.add(a); }
     ("one-pool", rule_one_pool, {
         "src/core/bad.h": "class C { ThreadPool pool_{4}; };",
     }),
+    ("isa-flags", rule_isa_flags, {
+        "CMakeLists.txt": "target_compile_options(vwsdk PRIVATE -march=native)",
+    }),
+    ("isa-flags", rule_isa_flags, {
+        "src/tensor/bad.cpp":
+            "__attribute__((target(\"avx2\"))) void f();",
+    }),
     ("nolint-discipline", rule_nolint_discipline, {
         # specific check but no justification
         "src/core/bad.cpp":
@@ -750,6 +803,16 @@ CLEAN_TREES = [
             "  parallel_chunks(pool, n, fn);\n"
             "  int k = ThreadPool::default_thread_count();\n}\n"),
     }),
+    (rule_isa_flags, {
+        "CMakeLists.txt": (
+            "# never -march=native: see src/tensor/gemm_kernel.h\n"
+            "set_source_files_properties(k.cpp PROPERTIES\n"
+            "  COMPILE_OPTIONS \"-mavx512f;-ffp-contract=off\")\n"),
+        "src/tensor/ok.cpp": (
+            "// no __attribute__((target)) here\n"
+            "[[gnu::noinline]] void f();\n"),
+        "tools/notes.py": "# -march=native is only named here",
+    }),
     (rule_nolint_discipline, {
         "src/core/ok.cpp": (
             "// NOLINTNEXTLINE(bugprone-integer-division): intentional "
@@ -791,12 +854,14 @@ RULES = [
     ("ceil-div", rule_ceil_div),
     ("nolint-discipline", rule_nolint_discipline),
     ("one-pool", rule_one_pool),
+    ("isa-flags", rule_isa_flags),
 ]
 
 
 def load_tree(root: Path) -> dict[str, str]:
     tree: dict[str, str] = {}
-    patterns = ["src/**/*.h", "src/**/*.cpp", "docs/*.md", "README.md"]
+    patterns = ["src/**/*.h", "src/**/*.cpp", "docs/*.md", "README.md",
+                "CMakeLists.txt", "*/CMakeLists.txt"]
     for pattern in patterns:
         for path in root.glob(pattern):
             tree[path.relative_to(root).as_posix()] = path.read_text(
