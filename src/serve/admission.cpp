@@ -25,7 +25,8 @@ AdmissionQueue::AdmissionQueue(int max_inflight, int max_queue)
 
 AdmissionQueue::~AdmissionQueue() { drain(); }
 
-bool AdmissionQueue::try_submit(std::function<void()> task) {
+bool AdmissionQueue::try_submit(std::function<void()> task,
+                                std::function<void()> reply) {
   int worker = -1;
   {
     const MutexLock lock(mutex_);
@@ -35,7 +36,7 @@ bool AdmissionQueue::try_submit(std::function<void()> task) {
       return false;
     }
     ++accepted_;
-    queue_.push(std::move(task));
+    queue_.push({std::move(task), std::move(reply)});
     if (!idle_workers_.empty()) {
       worker = idle_workers_.back();
       idle_workers_.pop_back();
@@ -80,7 +81,7 @@ AdmissionStats AdmissionQueue::stats() const {
 void AdmissionQueue::worker_loop(int id) {
   CondVar& wake = wake_[static_cast<std::size_t>(id)];
   while (true) {
-    std::function<void()> task;
+    Job job;
     {
       const MutexLock lock(mutex_);
       // A worker on the idle stack runs nothing until a submit pops it; a
@@ -94,12 +95,12 @@ void AdmissionQueue::worker_loop(int id) {
         }
         wake.wait(mutex_);
       }
-      task = std::move(queue_.front());
+      job = std::move(queue_.front());
       queue_.pop();
       ++busy_;
     }
-    task();  // task() catches its own exceptions (server.cpp); a throw
-             // here would terminate, which the dispatch wrapper prevents
+    job.task();  // the task catches its own exceptions (server.cpp); a
+                 // throw here would terminate, which the wrapper prevents
     {
       // Idle again, on top of the stack, in the same critical section
       // that drops busy_: a submit that sees busy_ == 0 wakes this worker.
@@ -110,6 +111,12 @@ void AdmissionQueue::worker_loop(int id) {
       }
     }
     idle_.notify_all();
+    if (job.reply) {
+      // Idle again (on the stack unless work is queued): a request the
+      // reply lets a client send pops this worker, which takes it once
+      // the reply returns.
+      job.reply();
+    }
   }
 }
 

@@ -15,7 +15,10 @@
 /// A submit wakes the most recently idle worker (LIFO).  Each worker
 /// thread has its own glibc malloc arena, which keeps freed memory below
 /// the trim threshold; FIFO wake-ups would leave a verify's working set
-/// resident in every worker's arena, LIFO keeps one arena warm.
+/// resident in every worker's arena, LIFO keeps one arena warm.  A task
+/// may come with a reply (the server's response write), which the worker
+/// runs only after it is back on the idle stack: the client cannot send
+/// its next request before the worker that will take it is idle again.
 
 #include <functional>
 #include <queue>
@@ -52,8 +55,12 @@ class AdmissionQueue {
 
   /// Admit `task` if capacity allows: true and the task will run; false
   /// and the task was refused (never partially started).  After drain()
-  /// every submit is refused.
-  bool try_submit(std::function<void()> task) VWSDK_EXCLUDES(mutex_);
+  /// every submit is refused.  A non-empty `reply` runs on the same
+  /// worker after `task`, once the worker is idle again (no longer
+  /// counted in `busy`); drain() still waits for it.
+  bool try_submit(std::function<void()> task,
+                  std::function<void()> reply = nullptr)
+      VWSDK_EXCLUDES(mutex_);
 
   /// Stop admitting, run every already-accepted task to completion, and
   /// join the workers.  Idempotent; safe to call concurrently with
@@ -72,7 +79,13 @@ class AdmissionQueue {
   std::vector<std::thread> workers_;
   /// One wake-up per worker, so a submit can pick which worker runs.
   std::vector<CondVar> wake_;
-  std::queue<std::function<void()>> queue_ VWSDK_GUARDED_BY(mutex_);
+  /// An admitted task and its reply.
+  struct Job {
+    std::function<void()> task;
+    std::function<void()> reply;
+  };
+
+  std::queue<Job> queue_ VWSDK_GUARDED_BY(mutex_);
   /// Idle worker ids, the most recently idle on top (back).
   std::vector<int> idle_workers_ VWSDK_GUARDED_BY(mutex_);
   mutable Mutex mutex_;

@@ -162,11 +162,10 @@ class LineBuffer {
   bool skipping_ = false;
 };
 
-/// Execute one validated request against the service and write its
-/// response.  Never throws: every failure becomes an error response
-/// with the classified code.
-void execute_request(ServiceApi& api, const ServeRequest& request,
-                     ResponseSink& sink) {
+/// Execute one validated request against the service and return its
+/// response line.  Never throws: every failure becomes an error
+/// response with the classified code.
+std::string execute_request(ServiceApi& api, const ServeRequest& request) {
   try {
     std::string payload;
     switch (request.op) {
@@ -205,10 +204,9 @@ void execute_request(ServiceApi& api, const ServeRequest& request,
         payload = "{\"stopping\":true}";  // answered inline by the reader
         break;
     }
-    sink.write_line(ok_response(request.id, request.op, payload));
+    return ok_response(request.id, request.op, payload);
   } catch (const std::exception& e) {
-    sink.write_line(
-        error_response(request.id, classify_exception(e), e.what()));
+    return error_response(request.id, classify_exception(e), e.what());
   }
 }
 
@@ -243,16 +241,21 @@ class Server {
     }
     if (request.op == ServeOp::kShutdown) {
       stopping_.store(true);
-      execute_request(api_, request, *sink);
+      sink->write_line(execute_request(api_, request));
       return;
     }
     // Constructing the task moves the request out, so keep the id for
     // the rejection path -- the refusal must still echo it.
+    // The response is written by the reply, after the worker is idle
+    // again, so a sequential client's next request finds it on top of
+    // the idle stack (serve/admission.h).
     const std::string request_id = request.id;
+    auto response = std::make_shared<std::string>();
     const bool admitted = admission_.try_submit(
-        [this, request = std::move(request), sink] {
-          execute_request(api_, request, *sink);
-        });
+        [this, request = std::move(request), response] {
+          *response = execute_request(api_, request);
+        },
+        [sink, response] { sink->write_line(*response); });
     if (!admitted) {
       // One snapshot, so `busy` and `queued` describe the same instant.
       const AdmissionStats load = admission_.stats();

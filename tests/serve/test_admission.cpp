@@ -130,6 +130,28 @@ TEST(Admission, SequentialSubmitsReuseTheMostRecentlyIdleWorker) {
   }
 }
 
+TEST(Admission, ReplyRunsAfterTheWorkerIsIdleAgain) {
+  // The server writes a response in the reply.  A request the client
+  // sends as soon as it reads that response is submitted while the reply
+  // still runs; it must go to the replying worker, not to a second one.
+  AdmissionQueue queue(8, 0);
+  std::vector<std::thread::id> ran_on;
+  Gate done;
+  ASSERT_TRUE(queue.try_submit(
+      [&] { ran_on.push_back(std::this_thread::get_id()); },
+      [&] {
+        EXPECT_EQ(queue.stats().busy, 0);
+        ASSERT_TRUE(queue.try_submit([&] {
+          ran_on.push_back(std::this_thread::get_id());
+          done.open();
+        }));
+      }));
+  done.wait();
+  queue.drain();
+  ASSERT_EQ(ran_on.size(), 2u);
+  EXPECT_EQ(ran_on[1], ran_on[0]);
+}
+
 // ---------------------------------------------------------------------
 // Contention cases (ctest label `stress`).
 // ---------------------------------------------------------------------
