@@ -807,11 +807,12 @@ int run_serve(int argc, const char* const* argv) {
   args.add_option("socket", "",
                   "Unix domain socket path (default: serve stdin/stdout)");
   args.add_int_option("max-inflight", 4,
-                      "requests executing at once (>= 1)");
+                      "requests executing at once (>= 1; at most --threads)");
   args.add_int_option("max-queue", 16,
                       "accepted requests waiting beyond that (>= 0)");
   args.add_int_option("threads", 0,
-                      "worker threads (0 = VWSDK_THREADS, then hardware)");
+                      "worker threads, running the requests and their "
+                      "fan-out (0 = VWSDK_THREADS, then hardware)");
   if (!args.parse(argc, argv)) {
     return kExitOk;
   }

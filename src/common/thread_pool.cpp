@@ -76,61 +76,12 @@ int ThreadPool::resolve_thread_count(int requested) {
   return default_thread_count();
 }
 
-ThreadPool::ThreadPool(int threads) {
-  const int count = resolve_thread_count(threads);
-  workers_.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    workers_.emplace_back([this]() { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    const MutexLock lock(mutex_);
-    stopping_ = true;
-  }
-  ready_.notify_all();
-  for (std::thread& worker : workers_) {
-    worker.join();
-  }
-}
-
-void ThreadPool::enqueue(std::function<void()> job) {
-  {
-    const MutexLock lock(mutex_);
-    VWSDK_ASSERT(!stopping_, "submit() on a stopping ThreadPool");
-    queue_.push(std::move(job));
-  }
-  ready_.notify_one();
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      const MutexLock lock(mutex_);
-      // Explicit predicate loop (not a wait-with-lambda): the guarded
-      // reads stay in this locked scope where the analysis sees them.
-      while (!stopping_ && queue_.empty()) {
-        ready_.wait(mutex_);
-      }
-      if (queue_.empty()) {
-        return;  // stopping_ and drained
-      }
-      job = std::move(queue_.front());
-      queue_.pop();
-    }
-    job();  // packaged_task captures exceptions into its future
-  }
-}
-
-namespace {
-
-/// The shared state of one parallel_chunks call.  Helper tasks hold it
-/// by shared_ptr, so a helper that only starts after the call returned
-/// still finds a valid cursor; `fn` is touched only for a claimed chunk,
-/// and the caller does not return before every claimed chunk finished.
-struct ChunkRun {
+/// The shared state of one parallel_chunks call.  Helper jobs hold it
+/// by shared_ptr, so a helper that started just before the call
+/// withdrew the rest still finds a valid cursor; `fn` is touched only
+/// for a claimed chunk, and the caller does not return before every
+/// claimed chunk finished.
+struct ThreadPool::ChunkRun {
   ChunkRun(const std::function<void(Count, Count)>& body, Count total,
            Count width)
       : fn(&body),
@@ -139,10 +90,14 @@ struct ChunkRun {
         chunks(ceil_div(total, width)),
         first_failed(chunks) {}
 
-  /// Claim chunks in index order and run them until none is left.
-  void work() VWSDK_EXCLUDES(mutex) {
-    for (Count index = next.fetch_add(1); index < chunks;
-         index = next.fetch_add(1)) {
+  /// Claim chunks in index order and run them until none is left, or
+  /// until `stop` (when given) reads true before the next claim.
+  void work(const std::atomic<bool>* stop = nullptr) VWSDK_EXCLUDES(mutex) {
+    while (stop == nullptr || !stop->load(std::memory_order_relaxed)) {
+      const Count index = next.fetch_add(1);
+      if (index >= chunks) {
+        return;
+      }
       const Count begin = index * chunk;
       std::exception_ptr error;
       try {
@@ -187,7 +142,185 @@ struct ChunkRun {
   std::exception_ptr first_error VWSDK_GUARDED_BY(mutex);
 };
 
-}  // namespace
+ThreadPool::ThreadPool(int threads, int max_inflight, int max_queue)
+    : max_inflight_(max_inflight), max_queue_(max_queue) {
+  VWSDK_REQUIRE(max_inflight >= 1,
+                cat("max_inflight must be >= 1 (got ", max_inflight, ")"));
+  VWSDK_REQUIRE(max_queue >= 0,
+                cat("max_queue must be >= 0 (got ", max_queue, ")"));
+  const int count = resolve_thread_count(threads);
+  wake_ = std::vector<CondVar>(static_cast<std::size_t>(count));
+  workers_.reserve(static_cast<std::size_t>(count));
+  const MutexLock lock(mutex_);
+  state_.assign(static_cast<std::size_t>(count), WorkerState::kIdle);
+  for (int i = 0; i < count; ++i) {
+    idle_workers_.push_back(i);
+    workers_.emplace_back([this, i]() { worker_loop(i); });
+  }
+}
+
+ThreadPool::~ThreadPool() {
+  drain();
+  {
+    const MutexLock lock(mutex_);
+    stopping_ = true;
+  }
+  for (CondVar& wake : wake_) {
+    wake.notify_all();
+  }
+  for (std::thread& worker : workers_) {
+    worker.join();
+  }
+}
+
+bool ThreadPool::try_submit(std::function<void()> task,
+                            std::function<void()> reply) {
+  const MutexLock lock(mutex_);
+  const int outstanding = static_cast<int>(admitted_.size()) + running_;
+  if (draining_ || outstanding >= max_inflight_ + max_queue_) {
+    ++rejected_;
+    return false;
+  }
+  ++accepted_;
+  ++unfinished_;
+  admitted_.push_back({std::move(task), std::move(reply)});
+  // Wake a worker only for a task that may start now; a later one is
+  // taken by the worker whose task finishing makes it admissible.
+  if (outstanding < max_inflight_) {
+    wake_idle(WorkerState::kReserved);
+  }
+  publish_task_waiting();
+  return true;
+}
+
+void ThreadPool::drain() {
+  const MutexLock lock(mutex_);
+  draining_ = true;
+  // Explicit predicate loop (not a wait-with-lambda) so the guarded
+  // reads stay visible to the thread-safety analysis.
+  while (unfinished_ != 0) {
+    finished_.wait(mutex_);
+  }
+}
+
+AdmissionStats ThreadPool::stats() const {
+  const MutexLock lock(mutex_);
+  AdmissionStats stats;
+  stats.busy = running_;
+  stats.queued = static_cast<int>(admitted_.size());
+  stats.accepted = accepted_;
+  stats.rejected = rejected_;
+  return stats;
+}
+
+void ThreadPool::post_helpers(const std::shared_ptr<ChunkRun>& run,
+                              Count copies) {
+  const MutexLock lock(mutex_);
+  helpers_.insert(helpers_.end(), static_cast<std::size_t>(copies), run);
+  for (Count c = 0; c < copies; ++c) {
+    if (!wake_idle(WorkerState::kFree)) {
+      break;
+    }
+  }
+}
+
+void ThreadPool::withdraw_helpers(const std::shared_ptr<ChunkRun>& run) {
+  const MutexLock lock(mutex_);
+  std::erase(helpers_, run);
+}
+
+bool ThreadPool::unclaimed_task() const {
+  return static_cast<int>(admitted_.size()) > reserved_ &&
+         running_ + reserved_ < max_inflight_;
+}
+
+void ThreadPool::publish_task_waiting() {
+  task_waiting_.store(unclaimed_task(), std::memory_order_relaxed);
+}
+
+bool ThreadPool::wake_idle(WorkerState next) {
+  if (idle_workers_.empty()) {
+    return false;
+  }
+  const auto worker = static_cast<std::size_t>(idle_workers_.back());
+  idle_workers_.pop_back();
+  state_[worker] = next;
+  if (next == WorkerState::kReserved) {
+    ++reserved_;
+  }
+  wake_[worker].notify_one();
+  return true;
+}
+
+void ThreadPool::worker_loop(int id) {
+  const auto self = static_cast<std::size_t>(id);
+  CondVar& wakeup = wake_[self];
+  for (;;) {
+    Job job;
+    std::shared_ptr<ChunkRun> helper;
+    {
+      const MutexLock lock(mutex_);
+      // A worker on the idle stack takes nothing until new work pops
+      // it.  One popped by try_submit takes a task; a free one takes a
+      // task no reserved worker is coming for, then a helper job, and
+      // otherwise returns to the bottom of the stack.
+      for (;;) {
+        if (state_[self] == WorkerState::kReserved) {
+          --reserved_;  // its task is now unclaimed and taken just below
+          state_[self] = WorkerState::kFree;
+        }
+        if (state_[self] == WorkerState::kFree) {
+          if (unclaimed_task()) {
+            job = std::move(admitted_.front());
+            admitted_.pop_front();
+            ++running_;
+            publish_task_waiting();
+            break;
+          }
+          if (!helpers_.empty()) {
+            helper = std::move(helpers_.front());
+            helpers_.pop_front();
+            break;
+          }
+          state_[self] = WorkerState::kIdle;
+          idle_workers_.push_front(id);  // helping keeps no arena warm
+        }
+        if (stopping_) {
+          return;  // drained, and no parallel_chunks call is left
+        }
+        wakeup.wait(mutex_);
+      }
+    }
+    if (helper) {
+      // A helper is optional work: it stops claiming chunks while an
+      // admitted task waits for a worker, and the caller runs the rest.
+      helper->work(&task_waiting_);
+      continue;
+    }
+    job.task();  // the task catches its own exceptions (server.cpp); a
+                 // throw here would terminate
+    {
+      // Idle again, on top of the stack, in the same critical section
+      // that drops running_: work offered after this wakes this worker.
+      const MutexLock lock(mutex_);
+      --running_;
+      publish_task_waiting();
+      if (!unclaimed_task() && helpers_.empty()) {
+        state_[self] = WorkerState::kIdle;
+        idle_workers_.push_back(id);
+      }
+    }
+    if (job.reply) {
+      // Already idle: a request the reply lets a client send pops this
+      // worker, which takes it once the reply returns.
+      job.reply();
+    }
+    const MutexLock lock(mutex_);
+    if (--unfinished_ == 0) {
+      finished_.notify_all();
+    }
+  }
+}
 
 void parallel_chunks(ThreadPool* pool, Count n,
                      const std::function<void(Count, Count)>& fn) {
@@ -201,19 +334,21 @@ void parallel_chunks(ThreadPool* pool, Count n,
   // Several chunks per worker keeps uneven chunk costs from leaving
   // threads idle at the tail of the range.
   const Count target_chunks = std::min<Count>(n, Count{pool->size()} * 4);
-  const auto run =
-      std::make_shared<ChunkRun>(fn, n, ceil_div(n, target_chunks));
+  const auto run = std::make_shared<ThreadPool::ChunkRun>(
+      fn, n, ceil_div(n, target_chunks));
   // The caller takes chunks too, so at most chunks - 1 helpers can help.
   const Count helpers = std::min<Count>(pool->size(), run->chunks - 1);
   try {
-    for (Count h = 0; h < helpers; ++h) {
-      (void)pool->submit([run]() { run->work(); });
-    }
+    pool->post_helpers(run, helpers);
   } catch (...) {
-    // submit() failed partway (e.g. bad_alloc): the caller runs every
-    // chunk the helpers already submitted do not take.
+    // Posting failed (e.g. bad_alloc): the caller runs every chunk the
+    // helpers already posted do not take.
   }
   run->work();
+  // Every chunk is claimed: helpers that have not started would find
+  // nothing left, and queued they would keep a finished worker off the
+  // top of the idle stack.
+  pool->withdraw_helpers(run);
   if (const std::exception_ptr error = run->wait()) {
     std::rethrow_exception(error);
   }

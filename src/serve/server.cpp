@@ -22,7 +22,6 @@
 #include "common/mutex.h"
 #include "common/string_util.h"
 #include "core/serialize.h"
-#include "serve/admission.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
 
@@ -210,13 +209,12 @@ std::string execute_request(ServiceApi& api, const ServeRequest& request) {
   }
 }
 
-/// The shared per-run state: one service, one admission queue, one
-/// stop flag every reader consults.
+/// The shared per-run state: one service, whose pool admits and runs
+/// the requests, and one stop flag every reader consults.
 class Server {
  public:
   explicit Server(const ServeOptions& options)
-      : api_(options.threads),
-        admission_(options.max_inflight, options.max_queue) {}
+      : api_(options.threads, options.max_inflight, options.max_queue) {}
 
   bool stopping() const { return stopping_.load(); }
 
@@ -248,17 +246,17 @@ class Server {
     // the rejection path -- the refusal must still echo it.
     // The response is written by the reply, after the worker is idle
     // again, so a sequential client's next request finds it on top of
-    // the idle stack (serve/admission.h).
+    // the idle stack (common/thread_pool.h).
     const std::string request_id = request.id;
     auto response = std::make_shared<std::string>();
-    const bool admitted = admission_.try_submit(
+    const bool admitted = api_.pool().try_submit(
         [this, request = std::move(request), response] {
           *response = execute_request(api_, request);
         },
         [sink, response] { sink->write_line(*response); });
     if (!admitted) {
       // One snapshot, so `busy` and `queued` describe the same instant.
-      const AdmissionStats load = admission_.stats();
+      const AdmissionStats load = api_.pool().stats();
       sink->write_line(error_response(
           request_id, ErrorCode::kOverloaded,
           cat("admission queue full (", load.busy, " in flight, ",
@@ -275,11 +273,10 @@ class Server {
   void request_stop() { stopping_.store(true); }
 
   /// Finish every admitted request; responses flush as they complete.
-  void drain() { admission_.drain(); }
+  void drain() { api_.pool().drain(); }
 
  private:
   ServiceApi api_;
-  AdmissionQueue admission_;
   std::atomic<bool> stopping_{false};
 };
 

@@ -3,8 +3,8 @@
 /// @file server.h
 /// The `vwsdk serve` daemon loop: read NDJSON requests
 /// (serve/protocol.h) from stdin or a Unix domain socket, execute them
-/// on a bounded AdmissionQueue over one shared ServiceApi, and write
-/// one response line per request.
+/// as bounded admitted tasks on the one ServiceApi's pool
+/// (ThreadPool::try_submit), and write one response line per request.
 ///
 /// Lifecycle: the loop runs until end-of-input, a `shutdown` request,
 /// or SIGINT/SIGTERM; it then *drains* -- stops accepting, finishes
@@ -24,7 +24,8 @@ struct ServeOptions {
   /// is created at startup (replacing a stale socket) and removed on
   /// exit.
   std::string socket_path;
-  int max_inflight = 4;  ///< requests executing at once (>= 1)
+  int max_inflight = 4;  ///< requests executing at once (>= 1), at most
+                         ///< `threads` of them
   int max_queue = 16;    ///< accepted requests waiting beyond that (>= 0)
   int threads = 0;       ///< ServiceApi pool threads; <= 0 = auto
 };

@@ -45,8 +45,8 @@ std::string stats_line(const ServiceStats& stats) {
              " thread(s)");
 }
 
-ServiceApi::ServiceApi(int threads)
-    : pool_(ThreadPool::resolve_thread_count(threads)) {}
+ServiceApi::ServiceApi(int threads, int max_inflight, int max_queue)
+    : pool_(threads, max_inflight, max_queue) {}
 
 NetworkMappingResult ServiceApi::map(const MapQuery& query) {
   const NetworkSpec spec = resolve_query_net(query.net);

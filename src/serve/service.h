@@ -15,13 +15,13 @@
 /// instead of re-searching.
 ///
 /// Concurrency: every method is safe to call from multiple threads at
-/// once.  The pool is the only one the library owns: the layer searches
-/// and `verify`'s reference convolution both fan out over it through
-/// parallel_chunks, where the calling thread works through its own
-/// chunks, so concurrent requests share the workers and a task running
-/// on the pool may itself call the service.  What no caller may do is
-/// submit() to the pool and block on the future from inside a pool
-/// task (common/thread_pool.h).
+/// once.  The pool is the only one the library owns.  `vwsdk serve`
+/// runs each request on it as an admitted task (ThreadPool::try_submit),
+/// and the layer searches and `verify`'s reference convolution fan out
+/// over the same workers through parallel_chunks, where the calling
+/// thread works through its own chunks, so concurrent requests share
+/// the workers and a task running on the pool may itself call the
+/// service (common/thread_pool.h).
 
 #include <cstdint>
 #include <string>
@@ -135,8 +135,11 @@ class ServiceApi {
  public:
   /// Start the service; `threads <= 0` resolves via VWSDK_THREADS, then
   /// the hardware concurrency (ThreadPool::resolve_thread_count).  The
-  /// count bounds the searches and the reference convolution alike.
-  explicit ServiceApi(int threads = 0);
+  /// count bounds the searches, the reference convolution and the serve
+  /// daemon's requests alike; `max_inflight` and `max_queue` bound the
+  /// pool's admitted tasks, which only the daemon submits.
+  explicit ServiceApi(int threads = 0, int max_inflight = 1,
+                      int max_queue = 0);
 
   ServiceApi(const ServiceApi&) = delete;
   ServiceApi& operator=(const ServiceApi&) = delete;
@@ -175,15 +178,18 @@ class ServiceApi {
   /// Counters of the shared cache and pool.
   ServiceStats stats() const;
 
-  /// The shared pool (for callers composing their own optimizer runs).
+  /// The shared pool (the daemon's admitted requests, and callers
+  /// composing their own optimizer runs).
   ThreadPool& pool() { return pool_; }
 
   /// The shared single-flight cache.
   MappingCache& cache() { return cache_; }
 
  private:
-  ThreadPool pool_;
   MappingCache cache_;
+  /// Declared last, so it drains its admitted tasks and joins its
+  /// workers before the cache they use is destroyed.
+  ThreadPool pool_;
 };
 
 }  // namespace vwsdk

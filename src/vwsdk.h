@@ -78,7 +78,6 @@
 #include "sim/traffic.h"
 #include "sim/verifier.h"
 
-#include "serve/admission.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/service.h"

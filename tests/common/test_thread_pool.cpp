@@ -65,45 +65,35 @@ class ThreadsEnvGuard {
 };
 
 TEST(ThreadPool, RunsSubmittedTasksAndReturnsResults) {
-  ThreadPool pool(4);
+  std::vector<int> results(100, -1);
+  ThreadPool pool(4, 4, 96);
   EXPECT_EQ(pool.size(), 4);
-  std::vector<std::future<int>> futures;
   for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([i]() { return i * i; }));
+    ASSERT_TRUE(pool.try_submit(
+        [&results, i]() { results[static_cast<std::size_t>(i)] = i * i; }));
   }
+  pool.drain();
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
+    EXPECT_EQ(results[static_cast<std::size_t>(i)], i * i);
   }
 }
 
 TEST(ThreadPool, SingleWorkerStillCompletesEverything) {
-  ThreadPool pool(1);
+  ThreadPool pool(1, 1, 49);
   std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
   for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.submit([&count]() { ++count; }));
+    ASSERT_TRUE(pool.try_submit([&count]() { ++count; }));
   }
-  for (auto& future : futures) {
-    future.get();
-  }
+  pool.drain();
   EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, TaskExceptionsPropagateThroughFutures) {
-  ThreadPool pool(2);
-  auto ok = pool.submit([]() { return 7; });
-  auto bad = pool.submit(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_EQ(ok.get(), 7);
-  EXPECT_THROW(bad.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, DestructorDrainsQueuedTasks) {
   std::atomic<int> count{0};
   {
-    ThreadPool pool(2);
+    ThreadPool pool(2, 2, 198);
     for (int i = 0; i < 200; ++i) {
-      (void)pool.submit([&count]() { ++count; });
+      ASSERT_TRUE(pool.try_submit([&count]() { ++count; }));
     }
   }  // destructor joins after finishing the queue
   EXPECT_EQ(count.load(), 200);
@@ -148,7 +138,9 @@ TEST(ThreadPool, ParallelChunksRethrowsTaskException) {
 TEST(ThreadPool, ParallelChunksFromInsideAChunkOfTheSamePoolCompletes) {
   ThreadPool pool(1);
   std::vector<std::atomic<int>> seen(64);
-  auto outer = pool.submit([&pool, &seen]() {
+  std::promise<void> finished;
+  std::future<void> outer = finished.get_future();
+  ASSERT_TRUE(pool.try_submit([&pool, &seen, &finished]() {
     parallel_chunks(&pool, 8, [&pool, &seen](Count begin, Count end) {
       for (Count i = begin; i < end; ++i) {
         parallel_chunks(&pool, 8, [&seen, i](Count from, Count to) {
@@ -158,14 +150,14 @@ TEST(ThreadPool, ParallelChunksFromInsideAChunkOfTheSamePoolCompletes) {
         });
       }
     });
-  });
+    finished.set_value();
+  }));
   if (outer.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
     // The stuck threads can be neither joined nor destroyed: report and
-    // end the process rather than hang in the future's destructor.
+    // end the process rather than hang in the pool's destructor.
     std::fputs("nested parallel_chunks deadlocked\n", stderr);
     std::_Exit(1);
   }
-  outer.get();
   for (const auto& cell : seen) {
     EXPECT_EQ(cell.load(), 1);
   }
@@ -276,17 +268,17 @@ TEST(ThreadPoolStress, TeardownWhileQueueDeepDrainsEveryTask) {
     std::atomic<int> count{0};
     std::atomic<bool> gate{false};
     {
-      ThreadPool pool(kWorkers);
+      ThreadPool pool(kWorkers, kWorkers, kQueued);
       for (int i = 0; i < kWorkers; ++i) {
-        (void)pool.submit([&] {
+        ASSERT_TRUE(pool.try_submit([&] {
           while (!gate.load()) {
             std::this_thread::yield();
           }
           ++count;
-        });
+        }));
       }
       for (int i = 0; i < kQueued; ++i) {
-        (void)pool.submit([&count] { ++count; });
+        ASSERT_TRUE(pool.try_submit([&count] { ++count; }));
       }
       gate.store(true);
     }  // destructor runs with (almost) the whole queue still pending
@@ -295,23 +287,21 @@ TEST(ThreadPoolStress, TeardownWhileQueueDeepDrainsEveryTask) {
   }
 }
 
-/// Many producers racing on enqueue while consumers drain: every
-/// submitted task runs exactly once and every future resolves.
+/// Many producers racing on try_submit while workers drain: every
+/// admitted task runs exactly once.  The bounds admit every task, so
+/// none may be refused either.
 TEST(ThreadPoolStress, ConcurrentProducersNeverLoseOrDuplicateTasks) {
   constexpr int kProducers = 8;
   constexpr int kPerProducer = 250;
-  ThreadPool pool(4);
+  ThreadPool pool(4, 4, kProducers * kPerProducer);
   std::vector<std::atomic<int>> runs(kProducers * kPerProducer);
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
-  std::vector<std::vector<std::future<void>>> futures(kProducers);
   for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([p, &pool, &runs, &futures] {
-      auto& mine = futures[static_cast<std::size_t>(p)];
-      mine.reserve(kPerProducer);
+    producers.emplace_back([p, &pool, &runs] {
       for (int i = 0; i < kPerProducer; ++i) {
         const int slot = p * kPerProducer + i;
-        mine.push_back(pool.submit(
+        EXPECT_TRUE(pool.try_submit(
             [&runs, slot] { ++runs[static_cast<std::size_t>(slot)]; }));
       }
     });
@@ -319,11 +309,7 @@ TEST(ThreadPoolStress, ConcurrentProducersNeverLoseOrDuplicateTasks) {
   for (std::thread& producer : producers) {
     producer.join();
   }
-  for (auto& mine : futures) {
-    for (auto& future : mine) {
-      future.get();
-    }
-  }
+  pool.drain();
   for (const auto& cell : runs) {
     ASSERT_EQ(cell.load(), 1);
   }

@@ -52,19 +52,19 @@ TEST(MappingCache, SingleFlightUnderConcurrency) {
   const ConvShape shape = ConvShape::square(56, 3, 128, 256);
   std::atomic<int> computes{0};
   ThreadPool pool(8);
-  std::vector<std::future<MappingDecision>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.submit([&]() {
-      return cache.get_or_compute(
+  std::vector<MappingDecision> decisions(32);
+  parallel_chunks(&pool, 32, [&](Count begin, Count end) {
+    for (Count i = begin; i < end; ++i) {
+      decisions[static_cast<std::size_t>(i)] = cache.get_or_compute(
           MappingCacheKey{mapper.name(), shape, k512x512}, [&]() {
             ++computes;
             return mapper.map(shape, k512x512);
           });
-    }));
-  }
+    }
+  });
   const MappingDecision expected = mapper.map(shape, k512x512);
-  for (auto& future : futures) {
-    EXPECT_EQ(future.get(), expected);
+  for (const MappingDecision& decision : decisions) {
+    EXPECT_EQ(decision, expected);
   }
   EXPECT_EQ(computes.load(), 1);
   EXPECT_EQ(cache.stats().misses, 1);

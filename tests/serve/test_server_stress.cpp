@@ -213,7 +213,7 @@ TEST(ServeDaemonStress, SignalWakesBlockedPollAndDrainsInflightWork) {
   options.socket_path = path;
   options.max_inflight = 2;
   options.max_queue = 8;
-  options.threads = 1;
+  options.threads = 2;  // the pool runs the requests: two at once
   std::promise<int> exit_code;
   std::thread daemon(
       [&options, &exit_code] { exit_code.set_value(run_server(options)); });

@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
 """Check that the serve daemon's memory does not grow with its worker count.
 
-Runs `vwsdk serve --socket` twice, at `--max-inflight 1` and at
-`--max-inflight 8`.  Each daemon gets the same sequential load on one
-connection: N `verify` requests, each sent only after the previous
-response arrived.  The script then reads the daemon's peak resident set
-(`VmHWM` in /proc/<pid>/status) and fails unless the 8-worker peak is at
-most --ratio times the 1-worker peak.
+Runs `vwsdk serve --socket` twice, at `--threads 1 --max-inflight 1` and
+at `--threads 8 --max-inflight 8`: the daemon's one crew of workers runs
+both its requests and their fan-out, so `--threads` sets how many there
+are.  Each daemon gets the same sequential load on one connection: N
+`verify` requests, each sent only after the previous response arrived.
+The script then reads the daemon's peak resident set (`VmHWM` in
+/proc/<pid>/status) and fails unless the 8-worker peak is at most
+--ratio times the 1-worker peak.  It also fails unless the daemon runs
+exactly one thread per worker plus its main thread (`Threads:` in the
+same file, read after the verifies): no second crew beside the pool.
 
-A sequential load never needs more than one worker, so a daemon that
-wakes the most recently idle worker keeps one malloc arena warm whatever
---max-inflight is.  Rotating the requests over every worker instead
-leaves a verify-sized working set resident in each worker's arena.
+A sequential load never needs more than one worker to run its requests,
+so a daemon that wakes the most recently idle worker, and puts workers
+that only helped with a fan-out back under it, keeps one request arena
+warm whatever the worker count.  Rotating the requests over every
+worker instead leaves a verify-sized working set resident in each
+worker's malloc arena.
 
 Linux only (reads /proc).  Usage:
 
@@ -33,12 +39,13 @@ import time
 from pathlib import Path
 
 
-def vm_hwm_kb(pid: int) -> int:
+def proc_status(pid: int, field: str) -> int:
+    """The first number of `field:` in /proc/<pid>/status."""
     with open(f"/proc/{pid}/status", encoding="utf-8") as fh:
         for line in fh:
-            if line.startswith("VmHWM:"):
+            if line.startswith(field + ":"):
                 return int(line.split()[1])
-    raise RuntimeError(f"no VmHWM for pid {pid}")
+    raise RuntimeError(f"no {field} for pid {pid}")
 
 
 def connect(path: Path, daemon: subprocess.Popen) -> socket.socket:
@@ -63,13 +70,15 @@ def request(client: socket.socket, reader, line: dict) -> dict:
     return json.loads(response)
 
 
-def peak_rss_kb(cli: str, workers: int, requests: int, net: str,
-                tmp: Path) -> int:
+def measure(cli: str, workers: int, requests: int, net: str,
+            tmp: Path) -> tuple[int, int]:
+    """(peak RSS in kB, thread count) of a daemon with `workers` workers
+    after `requests` sequential verifies."""
     sock_path = tmp / f"serve-{workers}.sock"
     env = {k: v for k, v in os.environ.items() if k != "VWSDK_REF_BACKEND"}
     daemon = subprocess.Popen(
         [cli, "serve", "--socket", str(sock_path),
-         "--max-inflight", str(workers)],
+         "--threads", str(workers), "--max-inflight", str(workers)],
         stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL, env=env)
     try:
@@ -80,11 +89,12 @@ def peak_rss_kb(cli: str, workers: int, requests: int, net: str,
                           {"v": 1, "id": f"v{i}", "op": "verify", "net": net})
             if not doc.get("ok") or not doc["result"]["all_verified"]:
                 raise RuntimeError(f"verify {i} failed: {doc}")
-        peak = vm_hwm_kb(daemon.pid)
+        peak = proc_status(daemon.pid, "VmHWM")
+        threads = proc_status(daemon.pid, "Threads")
         request(client, reader, {"v": 1, "id": "end", "op": "shutdown"})
         client.close()
         daemon.wait(timeout=120)
-        return peak
+        return peak, threads
     finally:
         if daemon.poll() is None:
             daemon.kill()
@@ -101,16 +111,21 @@ def main() -> int:
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory(prefix="vwsdk-rss-") as tmp:
-        one = peak_rss_kb(args.cli, 1, args.requests, args.net, Path(tmp))
-        many = peak_rss_kb(args.cli, args.workers, args.requests, args.net,
-                           Path(tmp))
+        one, one_threads = measure(args.cli, 1, args.requests, args.net,
+                                   Path(tmp))
+        many, many_threads = measure(args.cli, args.workers, args.requests,
+                                     args.net, Path(tmp))
     ratio = many / one
-    ok = ratio <= args.ratio
-    print(f"  [{'OK' if ok else 'FAIL'}] {args.requests} sequential verify "
-          f"--net {args.net}: VmHWM {one / 1024:.1f} MB at 1 worker, "
+    rss_ok = ratio <= args.ratio
+    print(f"  [{'OK' if rss_ok else 'FAIL'}] {args.requests} sequential "
+          f"verify --net {args.net}: VmHWM {one / 1024:.1f} MB at 1 worker, "
           f"{many / 1024:.1f} MB at {args.workers} workers "
           f"(x{ratio:.2f}, limit x{args.ratio})")
-    return 0 if ok else 1
+    threads_ok = (one_threads, many_threads) == (2, args.workers + 1)
+    print(f"  [{'OK' if threads_ok else 'FAIL'}] daemon threads: "
+          f"{one_threads} at 1 worker, {many_threads} at {args.workers} "
+          f"workers (want workers + 1: one crew plus the main thread)")
+    return 0 if rss_ok and threads_ok else 1
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 """Repo-invariant lint: the static checks the compiler cannot express.
 
 Registered as the ctest ``lint.invariants`` (label "lint"), mirroring
-tools/check_doc_comments.py.  Ten rules, each enforcing a contract the
+tools/check_doc_comments.py.  Eleven rules, each enforcing a contract the
 codebase documents elsewhere:
 
   determinism      no nondeterminism sources (std::rand, time(),
@@ -49,6 +49,11 @@ codebase documents elsewhere:
                    `new ThreadPool`.  Every other fan-out borrows a
                    `ThreadPool*`, where nullptr means the calling
                    thread (docs/CONCURRENCY.md).
+  one-crew         no `std::thread`, `std::jthread` or `std::async` in
+                   src/ outside common/thread_pool.*: the pool's
+                   workers are the only threads the library starts, so
+                   `--threads` is the daemon's whole crew
+                   (docs/CONCURRENCY.md).
   isa-flags        no `-march=native` in any CMakeLists.txt or src/ file
                    and no `__attribute__((target ...))` in src/: the
                    GEMM kernel is compiled once per ISA with explicit
@@ -570,6 +575,37 @@ def rule_one_pool(tree: dict[str, str]) -> list[Failure]:
 
 
 # --------------------------------------------------------------------------
+# Rule: one-crew
+# --------------------------------------------------------------------------
+
+ONE_CREW_ALLOWED = ("src/common/thread_pool.h", "src/common/thread_pool.cpp")
+
+# `std::this_thread` is not a match: it starts nothing.
+ONE_CREW_PATTERN = re.compile(r"\bstd::(thread|jthread|async)\b")
+
+
+def rule_one_crew(tree: dict[str, str]) -> list[Failure]:
+    """The ThreadPool's workers are the only threads src/ starts:
+    requests, searches and the reference convolution all run on them,
+    so no second crew grows beside the pool."""
+    failures = []
+    for path, text in sorted(tree.items()):
+        if not path.startswith("src/") or path in ONE_CREW_ALLOWED:
+            continue
+        if not path.endswith((".h", ".cpp")):
+            continue
+        code = strip_comments(text)
+        for match in ONE_CREW_PATTERN.finditer(code):
+            failures.append(
+                f"{path}:{line_of(code, match.start())}: std::"
+                f"{match.group(1)} outside common/thread_pool.* -- run the "
+                "work on the service's ThreadPool (try_submit or "
+                "parallel_chunks) instead (one-crew rule, "
+                "docs/CONCURRENCY.md)")
+    return failures
+
+
+# --------------------------------------------------------------------------
 # Rule: isa-flags
 # --------------------------------------------------------------------------
 
@@ -744,6 +780,15 @@ void register_orphan_mapper(MapperRegistry& registry) { registry.add(a); }
     ("one-pool", rule_one_pool, {
         "src/core/bad.h": "class C { ThreadPool pool_{4}; };",
     }),
+    ("one-crew", rule_one_crew, {
+        "src/serve/bad.h": "class Q { std::vector<std::thread> workers_; };",
+    }),
+    ("one-crew", rule_one_crew, {
+        "src/sim/bad.cpp": "auto f = std::async(std::launch::async, g);",
+    }),
+    ("one-crew", rule_one_crew, {
+        "src/core/bad.cpp": "std::jthread t([] { work(); });",
+    }),
     ("isa-flags", rule_isa_flags, {
         "CMakeLists.txt": "target_compile_options(vwsdk PRIVATE -march=native)",
     }),
@@ -803,6 +848,15 @@ CLEAN_TREES = [
             "  parallel_chunks(pool, n, fn);\n"
             "  int k = ThreadPool::default_thread_count();\n}\n"),
     }),
+    (rule_one_crew, {
+        "src/common/thread_pool.h": "std::vector<std::thread> workers_;",
+        "src/common/thread_pool.cpp":
+            "unsigned hw = std::thread::hardware_concurrency();",
+        "src/serve/ok.cpp": (
+            "std::this_thread::sleep_for(delay);\n"
+            "// a comment may name std::thread freely\n"),
+        "tests/serve/test_ok.cpp": "std::thread client([] { run(); });",
+    }),
     (rule_isa_flags, {
         "CMakeLists.txt": (
             "# never -march=native: see src/tensor/gemm_kernel.h\n"
@@ -854,6 +908,7 @@ RULES = [
     ("ceil-div", rule_ceil_div),
     ("nolint-discipline", rule_nolint_discipline),
     ("one-pool", rule_one_pool),
+    ("one-crew", rule_one_crew),
     ("isa-flags", rule_isa_flags),
 ]
 
