@@ -9,7 +9,7 @@
 /// each array column produces (which output channel at which window
 /// position).  Cells are not stored: which weight sits in which cell
 /// follows from the row and column bindings, by the one rule written down
-/// in for_each_cell.  The functional executor (src/sim/executor.h) runs
+/// in holds_cell.  The functional executor (src/sim/executor.h) runs
 /// plans on real tensors; the validator (plan_validate.h) checks their
 /// structural invariants.
 ///
@@ -55,27 +55,35 @@ struct ArrayTile {
   std::vector<ColBinding> cols;
 };
 
-/// Visit every programmed cell of `tile`, column binding by column
-/// binding, each column's rows in binding order.  Row (ic, dy, dx) and
+/// Whether row `rb` and column `cb` hold a weight.  Row (ic, dy, dx) and
 /// column (oc, win_py, win_px) hold W[oc][ic][ky][kx] exactly when both
 /// sit in the same SMD duplicate block and
 ///     dy = win_py * stride_h + ky,   dx = win_px * stride_w + kx
 /// with (ky, kx) inside the kernel (the paper's Fig. 2(c)/(d) placement;
 /// im2col and SMD columns sit at window (0, 0), so their rows name the
 /// kernel element directly).  Row offsets that match no kernel element
-/// are the structural zeros.  `fn(row_binding, col_binding, ky, kx)` is
-/// called once per cell; the visit order is the order crossbars are
-/// programmed in, and with it the order device noise is drawn in.
+/// are the structural zeros.  `ky` and `kx` receive the kernel element
+/// either way.
+inline bool holds_cell(const ConvShape& shape, const RowBinding& rb,
+                       const ColBinding& cb, Dim& ky, Dim& kx) {
+  ky = rb.dy - cb.win_py * shape.stride_h;
+  kx = rb.dx - cb.win_px * shape.stride_w;
+  return rb.dup == cb.dup && ky >= 0 && ky < shape.kernel_h && kx >= 0 &&
+         kx < shape.kernel_w;
+}
+
+/// Visit every programmed cell of `tile` (see holds_cell), column binding
+/// by column binding, each column's rows in binding order.
+/// `fn(row_binding, col_binding, ky, kx)` is called once per cell; the
+/// visit order is the order crossbars are programmed in, and with it the
+/// order device noise is drawn in.
 template <typename Fn>
 void for_each_cell(const ConvShape& shape, const ArrayTile& tile, Fn&& fn) {
   for (const ColBinding& cb : tile.cols) {
-    const Dim win_y = cb.win_py * shape.stride_h;
-    const Dim win_x = cb.win_px * shape.stride_w;
     for (const RowBinding& rb : tile.rows) {
-      const Dim ky = rb.dy - win_y;
-      const Dim kx = rb.dx - win_x;
-      if (rb.dup == cb.dup && ky >= 0 && ky < shape.kernel_h && kx >= 0 &&
-          kx < shape.kernel_w) {
+      Dim ky = 0;
+      Dim kx = 0;
+      if (holds_cell(shape, rb, cb, ky, kx)) {
         fn(rb, cb, ky, kx);
       }
     }

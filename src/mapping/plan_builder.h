@@ -17,8 +17,8 @@
 ///    (all windows of one output channel sit on adjacent bitlines, the
 ///    "shifted and duplicated kernel" group);
 ///  * which cells hold weights follows from these bindings alone; the
-///    rule, structural zeros included, lives on for_each_cell
-///    (mapping_plan.h).
+///    rule, structural zeros included, lives on holds_cell
+///    (mapping_plan.h), which for_each_cell applies.
 ///
 /// **im2col plans** (Fig. 2(a)).  The kernel column is flattened in
 /// im2col_row_index order (ic-major, then ky, kx) and split across AR

@@ -22,7 +22,7 @@
 ///    layer at least once;
 ///  * the realized cycle count equals the analytic cost.
 /// Which cell holds which weight, the kernel range and the channel match
-/// are for_each_cell's own definition, so they hold by construction.
+/// are holds_cell's own definition, so they hold by construction.
 
 #include <string>
 #include <vector>

@@ -20,10 +20,7 @@ ConverterModel::ConverterModel(int bits, double min_value, double max_value)
   step_ = (max_value_ - min_value_) / levels;
 }
 
-double ConverterModel::convert(double value) const {
-  if (mode_ == ConverterMode::kIdeal) {
-    return value;
-  }
+double ConverterModel::quantize(double value) const {
   if (value <= min_value_) {
     return min_value_;
   }

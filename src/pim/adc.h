@@ -34,7 +34,9 @@ class ConverterModel {
   ConverterModel(int bits, double min_value, double max_value);
 
   /// Apply the transfer function.
-  double convert(double value) const;
+  double convert(double value) const {
+    return mode_ == ConverterMode::kIdeal ? value : quantize(value);
+  }
 
   ConverterMode mode() const { return mode_; }
   int bits() const { return bits_; }
@@ -43,6 +45,8 @@ class ConverterModel {
   double step() const { return step_; }
 
  private:
+  double quantize(double value) const;
+
   ConverterMode mode_ = ConverterMode::kIdeal;
   int bits_ = 0;
   double min_value_ = 0.0;

@@ -1,6 +1,8 @@
 #include "sim/executor.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <tuple>
@@ -10,17 +12,20 @@
 #include "common/math_util.h"
 #include "common/string_util.h"
 #include "mapping/plan_validate.h"
+#include "tensor/gemm_kernel.h"
 
 namespace vwsdk {
 
 namespace {
 
-/// Bases gathered from the input and run through a tile block per pass.
-constexpr std::size_t kBaseBlock = 16;
-/// Register tile of the block multiply: kTileBases bases x kTileCols
-/// columns of partial sums stay in registers across the row loop.
-constexpr std::size_t kTileBases = 4;
-constexpr std::size_t kTileCols = 4;
+/// Bases gathered from the input per kernel call: one fixed-size block
+/// of inputs, rows x kBaseBlock, is all the scratch a group's run needs
+/// besides the tile itself.
+constexpr std::size_t kBaseBlock = 96;
+
+/// An input origin no row offset brings back inside the image: the
+/// window of an idle SMD duplicate, driven with zeros.
+constexpr Dim kIdle = std::numeric_limits<Dim>::min() / 2;
 
 /// `bindings` ordered by array index; throws if an index lies outside
 /// [0, limit) or repeats (two bindings would collide in a cell).
@@ -50,37 +55,17 @@ std::vector<const Binding*> sorted_bindings(
 }
 
 /// Columns of one SMD duplicate and window position hold cells in the
-/// same rows (for_each_cell's rule).  A group packs such columns of one
-/// tile with only the rows, ascending, where one holds a nonzero weight:
-/// a skipped row adds x * 0 = +-0 to a sum never -0, for finite x exact.
+/// same rows (holds_cell).  A group's weights are programmed side by
+/// side, n_cols x rows row-major, over only those rows: any other row
+/// holds a structural zero, and skipping it skips x * 0 = +-0, which
+/// leaves a sum that is never -0 exact for finite x.
 struct ColumnGroup {
-  std::vector<std::size_t> rows;  ///< slots in the tile's sorted rows
-  std::vector<std::size_t> cols;  ///< array columns, whole strips
-  std::vector<double> weights;    ///< per kTileCols-column strip, row-major
+  const ColBinding* first = nullptr;  ///< its first column binding
+  std::vector<std::size_t> cols;      ///< array columns, binding order
+  /// Its rows, ascending, as indices into the tile's rows sorted by row.
+  std::vector<std::size_t> rows;
+  std::size_t offset = 0;  ///< its first weight in the tile block
 };
-
-/// One computing cycle per base for `live` <= kBaseBlock bases over one
-/// strip: acc[i * stride + col[j]] += ADC(sum over rows q, ascending, of
-/// x[q * kBaseBlock + i] * w[q * kTileCols + j]).
-void run_strip(const double* x, const double* w, std::size_t rows,
-               const std::size_t* col, std::size_t stride, std::size_t live,
-               const ConverterModel& adc, double* acc) {
-  for (std::size_t i0 = 0; i0 < live; i0 += kTileBases) {
-    double sum[kTileBases][kTileCols] = {};
-    for (std::size_t q = 0; q < rows; ++q) {
-      for (std::size_t i = 0; i < kTileBases; ++i) {
-        for (std::size_t j = 0; j < kTileCols; ++j) {
-          sum[i][j] += x[q * kBaseBlock + i0 + i] * w[q * kTileCols + j];
-        }
-      }
-    }
-    for (std::size_t i = 0; i < std::min(kTileBases, live - i0); ++i) {
-      for (std::size_t j = 0; j < kTileCols; ++j) {
-        acc[(i0 + i) * stride + col[j]] += adc.convert(sum[i][j]);
-      }
-    }
-  }
-}
 
 }  // namespace
 
@@ -141,22 +126,10 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
     return (!smd || dup < dup_count) && w < windows.size() ? &windows[w]
                                                            : nullptr;
   };
-  // The value row `rb` is driven with at `base`: zero for an idle
-  // duplicate and for the zero padding around the input.
-  const auto input = [&](std::size_t base, const RowBinding& rb) {
-    const auto* at = window(base, rb.dup);
-    const Dim y = at ? at->first * shape.stride_h + rb.dy - shape.pad_h : -1;
-    const Dim x = at ? at->second * shape.stride_w + rb.dx - shape.pad_w : -1;
-    return y < 0 || y >= shape.ifm_h || x < 0 || x >= shape.ifm_w
-               ? 0.0
-               : ifm.at(rb.ic, y, x);
-  };
-
-  // Each AC band accumulates its AR partial sums per base and array
-  // column, for columns 0 .. the highest its tiles bind, plus one spare
-  // column that pads strips and is never committed.  Windowed sums start
-  // at 0.0, as a crossbar read-out sum does; an SMD read-out is committed
-  // as is, and -0.0 is the exact identity of +.
+  // Each AC band accumulates its AR partial sums per array column and
+  // base, column-major, for columns 0 .. the highest its tiles bind.
+  // Windowed sums start at 0.0, as a crossbar read-out sum does; an SMD
+  // read-out is committed as is, and -0.0 is the exact identity of +.
   std::vector<std::size_t> band_cols(bands, 0);
   for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
     const auto cols = sorted_bindings(
@@ -169,109 +142,201 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   }
   std::vector<std::vector<double>> band_acc(bands);
   for (std::size_t band = 0; band < bands; ++band) {
-    band_acc[band].assign(n_base * (band_cols[band] + 1), smd ? -0.0 : 0.0);
+    band_acc[band].assign(band_cols[band] * n_base, smd ? -0.0 : 0.0);
   }
 
-  // Program each tile once, in plan order, into a block of its bound rows
-  // (ascending) x its band's columns, then run every base through it.
+  // Program each tile once, in plan order, into a block of its column
+  // groups, each column's weights contiguous over its group's rows.
+  // Then run every base through each group: gather the inputs of a
+  // block of bases, multiply the group's weights by them with the GEMM
+  // kernel (one read-out per column and base, its rows summed in
+  // ascending order), and add each read-out, ADC-converted, into the band.
   std::optional<NoiseModel> noise;
   if (options.noise.enabled()) {
     noise.emplace(options.noise, options.noise_seed);
   }
+  const GemmKernel& kernel = gemm_kernel();
+  const double* in = ifm.data().data();
+  const double* kernels = weights.data().data();
+  const Count plane = static_cast<Count>(shape.ifm_h) * shape.ifm_w;
+  const Count kernel_area =
+      static_cast<Count>(shape.kernel_h) * shape.kernel_w;
   ExecutionResult result;
   result.arrays_used = static_cast<Count>(plan.tiles.size());
   double min_util = 1.0;
   double sum_util = 0.0;
-  std::vector<std::size_t> row_slot(
-      static_cast<std::size_t>(plan.geometry.rows));
-  std::vector<double> dense;
+  // Per group and array row, the row's place among the group's rows;
+  // per array column, where its weights start in the block and where its
+  // group's places start.
+  const std::size_t array_rows = static_cast<std::size_t>(plan.geometry.rows);
+  std::vector<std::size_t> place;
+  std::vector<std::size_t> column_start(
+      static_cast<std::size_t>(plan.geometry.cols));
+  std::vector<std::size_t> column_places(column_start.size());
+  std::vector<double> block;
   std::vector<ColumnGroup> groups;
-  std::vector<double> x;
+  std::vector<Dim> origin_y(kBaseBlock);
+  std::vector<Dim> origin_x(kBaseBlock);
+  std::vector<Count> origin(kBaseBlock);  // origin_y * ifm_w + origin_x
+  // Per row of the tile, sorted, its (ic, dy, dx) as an input offset.
+  std::vector<Count> row_offset(array_rows);
+  std::vector<double> drive;
+  std::vector<double> readout;
   for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
     const ArrayTile& tile = plan.tiles[t];
     const auto rows = sorted_bindings(
         tile.rows, [](const RowBinding& rb) { return rb.row; },
         plan.geometry.rows, "row");
-    for (std::size_t p = 0; p < rows.size(); ++p) {
-      row_slot[static_cast<std::size_t>(rows[p]->row)] = p;
+    const std::size_t n_rows = rows.size();
+    for (std::size_t p = 0; p < n_rows; ++p) {
+      VWSDK_REQUIRE(rows[p]->ic >= 0 && rows[p]->ic < shape.in_channels,
+                    cat("row ", rows[p]->row, " reads input channel ",
+                        rows[p]->ic, " of ", shape.in_channels));
+      row_offset[p] = rows[p]->ic * plane +
+                      static_cast<Count>(rows[p]->dy) * shape.ifm_w +
+                      rows[p]->dx;
     }
-    const std::size_t stride = band_cols[t % bands] + 1;
-    dense.assign(rows.size() * stride, 0.0);
-    Count cells = 0;
-    for_each_cell(shape, tile,
-                  [&](const RowBinding& rb, const ColBinding& cb, Dim ky,
-                      Dim kx) {
-                    const double value = weights.at(cb.oc, rb.ic, ky, kx);
-                    dense[row_slot[static_cast<std::size_t>(rb.row)] * stride +
-                          static_cast<std::size_t>(cb.col)] =
-                        noise.has_value() ? noise->apply(value) : value;
-                    ++cells;
-                  });
-    result.programmed_cells = checked_add(result.programmed_cells, cells);
+
+    // Group the columns by (dup, win_py, win_px), in binding order.
+    // Groups keep their storage across tiles (freed pages fault back in).
+    std::map<std::tuple<Dim, Dim, Dim>, std::size_t> group_of;
+    for (const ColBinding& cb : tile.cols) {
+      VWSDK_REQUIRE(cb.oc >= 0 && cb.oc < shape.out_channels,
+                    cat("column ", cb.col, " produces output channel ",
+                        cb.oc, " of ", shape.out_channels));
+      const auto [it, added] = group_of.try_emplace(
+          std::tuple{cb.dup, cb.win_py, cb.win_px}, group_of.size());
+      if (added && groups.size() < group_of.size()) {
+        groups.emplace_back();
+      }
+      ColumnGroup& group = groups[it->second];
+      if (added) {
+        group.first = &cb;
+        group.cols.clear();
+      }
+      group.cols.push_back(static_cast<std::size_t>(cb.col));
+    }
+    const std::size_t n_groups = group_of.size();
+    place.resize(n_groups * array_rows);
+    std::size_t cells = 0;
+    for (std::size_t g = 0; g < n_groups; ++g) {
+      ColumnGroup& group = groups[g];
+      group.rows.clear();
+      for (std::size_t p = 0; p < n_rows; ++p) {
+        Dim ky = 0;
+        Dim kx = 0;
+        if (holds_cell(shape, *rows[p], *group.first, ky, kx)) {
+          place[g * array_rows + static_cast<std::size_t>(rows[p]->row)] =
+              group.rows.size();
+          group.rows.push_back(p);
+        }
+      }
+      group.offset = cells;
+      for (std::size_t j = 0; j < group.cols.size(); ++j) {
+        column_start[group.cols[j]] = cells + j * group.rows.size();
+        column_places[group.cols[j]] = g * array_rows;
+      }
+      cells += group.cols.size() * group.rows.size();
+    }
+
+    // Every weight of the block is one programmed cell.  The callback
+    // captures raw pointers by value: for_each_cell is not inlined here,
+    // and captures by reference cost a load through the closure per use.
+    block.resize(cells);
+    for_each_cell(
+        shape, tile,
+        [out = block.data(), start = column_start.data(),
+         group_places = column_places.data(), row_place = place.data(),
+         kernels,
+         ic_count = static_cast<Count>(shape.in_channels), kernel_area,
+         kernel_w = shape.kernel_w,
+         model = noise.has_value() ? &*noise : nullptr](
+            const RowBinding& rb, const ColBinding& cb, Dim ky, Dim kx) {
+          const std::size_t col = static_cast<std::size_t>(cb.col);
+          const std::size_t row = static_cast<std::size_t>(rb.row);
+          const double value =
+              kernels[(cb.oc * ic_count + rb.ic) * kernel_area +
+                      static_cast<Count>(ky) * kernel_w + kx];
+          out[start[col] + row_place[group_places[col] + row]] =
+              model != nullptr ? model->apply(value) : value;
+        });
+    result.programmed_cells =
+        checked_add(result.programmed_cells, static_cast<Count>(cells));
     const double util = static_cast<double>(cells) /
                         static_cast<double>(plan.geometry.cell_count());
     min_util = std::min(min_util, util);
     sum_util += util;
 
-    // Group the columns by (dup, win_py, win_px), in binding order.
-    // Groups keep their storage across tiles (freed pages fault back in).
-    for (ColumnGroup& group : groups) {
-      group.cols.clear();
-    }
-    std::map<std::tuple<Dim, Dim, Dim>, std::size_t> group_of;
-    for (const ColBinding& cb : tile.cols) {
-      const auto it = group_of.try_emplace(
-          std::tuple{cb.dup, cb.win_py, cb.win_px}, group_of.size()).first;
-      groups.resize(std::max(groups.size(), group_of.size()));
-      groups[it->second].cols.push_back(static_cast<std::size_t>(cb.col));
-    }
-    for (ColumnGroup& group : groups) {
-      group.rows.clear();
-      group.weights.clear();
-      while (group.cols.size() % kTileCols != 0) {
-        group.cols.push_back(stride - 1);  // the spare column
-      }
-      for (std::size_t p = 0; p < rows.size(); ++p) {
-        const double* row = dense.data() + p * stride;
-        if (std::any_of(group.cols.begin(), group.cols.end(),
-                        [&](std::size_t col) { return row[col] != 0.0; })) {
-          group.rows.push_back(p);
-        }
-      }
-      for (std::size_t j0 = 0; j0 < group.cols.size(); j0 += kTileCols) {
-        for (const std::size_t p : group.rows) {
-          for (std::size_t j = j0; j < j0 + kTileCols; ++j) {
-            group.weights.push_back(dense[p * stride + group.cols[j]]);
-          }
-        }
-      }
-    }
-
-    // Execute: gather each group's rows for a block of bases, then run
-    // the block through the group's strips.
     double* acc = band_acc[t % bands].data();
-    for (std::size_t b0 = 0; b0 < n_base; b0 += kBaseBlock) {
-      const std::size_t live = std::min(kBaseBlock, n_base - b0);
-      for (const ColumnGroup& group : groups) {
-        const std::size_t n = group.rows.size();
-        x.resize(n * kBaseBlock);
-        for (std::size_t q = 0; q < n; ++q) {
+    for (std::size_t g = 0; g < n_groups; ++g) {
+      const ColumnGroup& group = groups[g];
+      const std::size_t n_cols = group.cols.size();
+      const std::size_t k = group.rows.size();
+      for (std::size_t b0 = 0; b0 < n_base; b0 += kBaseBlock) {
+        const std::size_t live = std::min(kBaseBlock, n_base - b0);
+        // Where each base's window starts in the input, unpadded, and
+        // whether the group's kernel window lies inside the input at
+        // every base of the block.
+        bool inside = true;
+        for (std::size_t i = 0; i < live; ++i) {
+          const auto* at = window(b0 + i, group.first->dup);
+          origin_y[i] = kIdle;
+          origin_x[i] = kIdle;
+          if (at != nullptr) {
+            origin_y[i] = at->first * shape.stride_h - shape.pad_h;
+            origin_x[i] = at->second * shape.stride_w - shape.pad_w;
+          }
+          origin[i] =
+              static_cast<Count>(origin_y[i]) * shape.ifm_w + origin_x[i];
+          const Dim y = origin_y[i] + group.first->win_py * shape.stride_h;
+          const Dim x = origin_x[i] + group.first->win_px * shape.stride_w;
+          inside = inside && y >= 0 && y + shape.kernel_h <= shape.ifm_h &&
+                   x >= 0 && x + shape.kernel_w <= shape.ifm_w;
+        }
+        // The value each row is driven with at each base: zero for an
+        // idle duplicate and for the zero padding around the input.
+        drive.resize(k * live);
+        for (std::size_t q = 0; q < k; ++q) {
+          const std::size_t p = group.rows[q];
+          double* to = drive.data() + q * live;
+          if (inside) {
+            for (std::size_t i = 0; i < live; ++i) {
+              to[i] = in[row_offset[p] + origin[i]];
+            }
+            continue;
+          }
+          const double* channel = in + rows[p]->ic * plane;
           for (std::size_t i = 0; i < live; ++i) {
-            x[q * kBaseBlock + i] = input(b0 + i, *rows[group.rows[q]]);
+            const Dim y = origin_y[i] + rows[p]->dy;
+            const Dim x = origin_x[i] + rows[p]->dx;
+            to[i] = y >= 0 && y < shape.ifm_h && x >= 0 && x < shape.ifm_w
+                        ? channel[static_cast<Count>(y) * shape.ifm_w + x]
+                        : 0.0;
           }
         }
-        for (std::size_t j0 = 0; j0 < group.cols.size(); j0 += kTileCols) {
-          run_strip(x.data(), group.weights.data() + j0 * n, n,
-                    group.cols.data() + j0, stride, live, options.adc,
-                    acc + b0 * stride);
+        readout.resize(n_cols * live);
+        const GemmOperands operands{block.data() + group.offset,
+                                    drive.data(),
+                                    readout.data(),
+                                    static_cast<Count>(n_cols),
+                                    static_cast<Count>(k),
+                                    static_cast<Count>(live)};
+        kernel.multiply(operands, 0, kernel.units(operands));
+        for (std::size_t j = 0; j < n_cols; ++j) {
+          double* sum = acc + group.cols[j] * n_base + b0;
+          const double* out = readout.data() + j * live;
+          for (std::size_t i = 0; i < live; ++i) {
+            sum[i] += options.adc.convert(out[i]);
+          }
         }
       }
-      result.cycles += static_cast<Cycles>(live);
     }
     const Count cycles = static_cast<Count>(n_base);
+    result.cycles += static_cast<Cycles>(cycles);
     result.activity.accumulate(
         {cycles, cycles * static_cast<Count>(tile.rows.size()),
-         cycles * static_cast<Count>(tile.cols.size()), cycles * cells});
+         cycles * static_cast<Count>(tile.cols.size()),
+         cycles * static_cast<Count>(cells)});
   }
   if (!plan.tiles.empty()) {
     result.min_tile_utilization = min_util;
@@ -279,41 +344,58 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
         sum_util / static_cast<double>(plan.tiles.size());
   }
 
-  // Commit base -> AC band -> column binding.  Column bindings are
-  // identical across the AR tiles of one AC band; commit with the last
-  // tile's.  A recomputed output (an overlapping clamped window) must
-  // reproduce the committed value exactly, except in noisy runs, where
-  // each copy of a weight carries its own independently drawn noise.
+  // Commit AC band -> column binding -> base, along the accumulators.
+  // Column bindings are identical across the AR tiles of one AC band;
+  // commit with the last tile's.  An output computed more than once (an
+  // overlapping clamped window) keeps the copy of its latest base, and
+  // within one base of its latest band and binding.  Each copy must
+  // reproduce the others exactly, except in noisy runs, where each copy
+  // of a weight carries its own independently drawn noise.
   result.ofm = Tensord::feature_map(shape.out_channels,
                                     static_cast<Dim>(shape.windows_h()),
                                     static_cast<Dim>(shape.windows_w()));
-  std::vector<char> written(static_cast<std::size_t>(result.ofm.size()), 0);
-  for (std::size_t base = 0; base < n_base; ++base) {
-    for (std::size_t band = 0; band < bands; ++band) {
-      for (const ColBinding& cb :
-           plan.tiles[plan.tiles.size() - bands + band].cols) {
+  VWSDK_ASSERT(n_base <= static_cast<std::size_t>(
+                             std::numeric_limits<std::int32_t>::max()),
+               cat(n_base, " bases do not fit the commit's base index"));
+  // The base each output was last committed from; -1 before the first.
+  std::vector<std::int32_t> written(
+      static_cast<std::size_t>(result.ofm.size()), -1);
+  double* outputs = result.ofm.data().data();
+  const Count oh = shape.windows_h();
+  const bool noisy = options.noise.enabled();
+  for (std::size_t band = 0; band < bands; ++band) {
+    for (const ColBinding& cb :
+         plan.tiles[plan.tiles.size() - bands + band].cols) {
+      const double* sums =
+          band_acc[band].data() + static_cast<std::size_t>(cb.col) * n_base;
+      for (std::size_t base = 0; base < n_base; ++base) {
         const auto* at = window(base, cb.dup);
         if (at == nullptr) {
           continue;
         }
         const Dim oy = at->first + cb.win_py;
         const Dim ox = at->second + cb.win_px;
-        const double value = band_acc[band][base * (band_cols[band] + 1) +
-                                            static_cast<std::size_t>(cb.col)];
-        double& out = result.ofm.at(cb.oc, oy, ox);
-        char& done = written[static_cast<std::size_t>(
-            (static_cast<Count>(cb.oc) * shape.windows_h() + oy) * ow + ox)];
-        VWSDK_ASSERT(done == 0 || options.noise.enabled() || out == value,
+        VWSDK_REQUIRE(oy >= 0 && oy < oh && ox >= 0 && ox < ow,
+                      cat("column ", cb.col, " produces output (", oy, ", ",
+                          ox, ") outside the ", oh, " x ", ow, " output"));
+        const std::size_t flat = static_cast<std::size_t>(
+            (static_cast<Count>(cb.oc) * oh + oy) * ow + ox);
+        double& out = outputs[flat];
+        std::int32_t& from = written[flat];
+        VWSDK_ASSERT(from < 0 || noisy || out == sums[base],
                      cat("overlapping windows disagree at oc=", cb.oc,
-                         " oy=", oy, " ox=", ox, ": ", out, " vs ", value));
-        out = value;
-        done = 1;
+                         " oy=", oy, " ox=", ox, ": ", out, " vs ",
+                         sums[base]));
+        if (from <= static_cast<std::int32_t>(base)) {
+          out = sums[base];
+          from = static_cast<std::int32_t>(base);
+        }
       }
     }
   }
 
   // Every output element must have been produced.
-  VWSDK_ASSERT(std::ranges::find(written, 0) == written.end(),
+  VWSDK_ASSERT(std::ranges::find(written, -1) == written.end(),
                "execution left output elements unwritten");
   VWSDK_ASSERT(result.cycles == plan.cost.total,
                cat("executed ", result.cycles, " cycles, analytic model says ",

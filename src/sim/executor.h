@@ -3,14 +3,25 @@
 /// @file executor.h
 /// Functional execution of a MappingPlan on crossbar arrays.
 ///
-/// The executor is tile-major: it programs each (AR, AC) tile once, in
-/// plan order (noise drawn in for_each_cell order), into a block of its
-/// bound rows x columns, then runs every parallel-window base through it
-/// as one computing cycle each: drive the rows, sum each column over its
-/// rows in ascending order, convert each read-out with the ADC, and add
-/// it into a per-AC-band accumulator in ascending AR order.  Outputs are
-/// committed at the end.  Scratch is one tile block plus O(output)
-/// accumulators; for finite inputs the OFM bits equal a dense crossbar's.
+/// The executor is tile-major, and each tile runs in four steps:
+///  1. Program: the tile's cells are written once, in for_each_cell
+///     order (the order device noise is drawn in), into one block of
+///     column groups.  A group is the columns of one SMD duplicate and
+///     window position; each column's weights sit contiguously over the
+///     rows its group holds cells in, ascending.
+///  2. Gather: for a block of up to 96 parallel-window bases, the
+///     inputs those rows are driven with, zero for padding and idle SMD
+///     duplicates, from per-row input offsets and per-base window
+///     origins.
+///  3. Kernel: one tensor/gemm_kernel.h call per group and base block
+///     computes every read-out, [group columns x rows] x [rows x bases]:
+///     each column's sum over its rows in ascending order, from +0.0,
+///     one computing cycle per base.
+///  4. ADC: each read-out is converted and added into a per-AC-band
+///     accumulator, in ascending AR order.
+/// Outputs are committed at the end.  Scratch is one tile block, one
+/// base block of inputs and read-outs, and O(output) accumulators; for
+/// finite inputs the OFM bits equal a dense crossbar's.
 ///
 /// This is the strongest form of evidence a mapping can get in software:
 /// if the plan (placement, schedule, tiling) is wrong in any way, the

@@ -1,8 +1,10 @@
 #pragma once
 
 /// @file gemm_kernel.h
-/// The GEMM micro-kernel behind the `gemm` reference backend, compiled
-/// once per ISA and chosen once per process.
+/// The GEMM micro-kernel, compiled once per ISA and chosen once per
+/// process.  It has two callers: the `gemm` reference backend
+/// (tensor/gemm_backend.h) and the crossbar executor (sim/executor.h),
+/// which runs each tile's read-outs through it.
 ///
 /// One register-blocked kernel source (tensor/gemm_microkernel.h) is
 /// compiled in three translation units, each at its own native vector

@@ -200,17 +200,27 @@ TEST(ThreadPool, DefaultThreadCountHonoursEnvVar) {
 // must be unique to this test -- the once-per-value memory is
 // process-wide, so a value another test already fed through
 // default_thread_count would not warn again.
+/// A number this process has not handed out before: the warned-about
+/// set is process-wide, so a test run again under --gtest_repeat feeds
+/// bad values derived from it, never ones already warned about.
+int fresh_run() {
+  static std::atomic<int> runs{0};
+  return ++runs;
+}
+
 TEST(ThreadPool, BadEnvValueWarnsOncePerDistinctValue) {
   ThreadsEnvGuard env_guard;
   WarningCapture capture;
   const auto warnings = []() { return WarningCapture::messages().size(); };
+  const int run = fresh_run();
 
   // Unparseable garbage.
-  ASSERT_EQ(setenv("VWSDK_THREADS", "abc", 1), 0);
+  const std::string garbage = "abc" + std::to_string(run);
+  ASSERT_EQ(setenv("VWSDK_THREADS", garbage.c_str(), 1), 0);
   const int fallback = ThreadPool::default_thread_count();
   EXPECT_GE(fallback, 1);
   ASSERT_EQ(warnings(), 1u);
-  EXPECT_NE(WarningCapture::messages()[0].find("abc"), std::string::npos);
+  EXPECT_NE(WarningCapture::messages()[0].find(garbage), std::string::npos);
   EXPECT_NE(WarningCapture::messages()[0].find(std::to_string(fallback)),
             std::string::npos);
 
@@ -219,24 +229,27 @@ TEST(ThreadPool, BadEnvValueWarnsOncePerDistinctValue) {
   EXPECT_EQ(warnings(), 1u);
 
   // Non-positive ("0" is already consumed by the env-var test above,
-  // so use a zero spelling unique to this test).
-  ASSERT_EQ(setenv("VWSDK_THREADS", "00", 1), 0);
+  // so use zero spellings of two or more digits, one per run).
+  const std::string zero(static_cast<std::size_t>(run) + 1, '0');
+  ASSERT_EQ(setenv("VWSDK_THREADS", zero.c_str(), 1), 0);
   EXPECT_GE(ThreadPool::default_thread_count(), 1);
   ASSERT_EQ(warnings(), 2u);
-  EXPECT_NE(WarningCapture::messages()[1].find("\"00\""), std::string::npos);
+  EXPECT_NE(WarningCapture::messages()[1].find('"' + zero + '"'),
+            std::string::npos);
 
   // Negative (parse_count rejects the sign).
-  ASSERT_EQ(setenv("VWSDK_THREADS", "-2", 1), 0);
+  const std::string negative = "-" + std::to_string(run + 1);
+  ASSERT_EQ(setenv("VWSDK_THREADS", negative.c_str(), 1), 0);
   EXPECT_GE(ThreadPool::default_thread_count(), 1);
   ASSERT_EQ(warnings(), 3u);
-  EXPECT_NE(WarningCapture::messages()[2].find("-2"), std::string::npos);
+  EXPECT_NE(WarningCapture::messages()[2].find(negative), std::string::npos);
 
   // Overflow (parse_count rejects values past long long).
-  ASSERT_EQ(setenv("VWSDK_THREADS", "99999999999999999999", 1), 0);
+  const std::string huge = "99999999999999999999" + std::to_string(run);
+  ASSERT_EQ(setenv("VWSDK_THREADS", huge.c_str(), 1), 0);
   EXPECT_GE(ThreadPool::default_thread_count(), 1);
   ASSERT_EQ(warnings(), 4u);
-  EXPECT_NE(WarningCapture::messages()[3].find("99999999999999999999"),
-            std::string::npos);
+  EXPECT_NE(WarningCapture::messages()[3].find(huge), std::string::npos);
 
   // A good value never warns.
   ASSERT_EQ(setenv("VWSDK_THREADS", "2", 1), 0);
@@ -353,8 +366,10 @@ TEST(ThreadPoolStress, ConcurrentCallersShareOnePool) {
 TEST(ThreadPoolStress, BadEnvWarnOnceSurvivesThunderingHerd) {
   ThreadsEnvGuard env_guard;
   WarningCapture capture;
-  // A bad value no other test uses: the warned-set is process-wide.
-  ASSERT_EQ(setenv("VWSDK_THREADS", "stress-herd", 1), 0);
+  // A bad value no other test and no earlier run uses: the warned-about
+  // set is process-wide.
+  const std::string herd = "stress-herd-" + std::to_string(fresh_run());
+  ASSERT_EQ(setenv("VWSDK_THREADS", herd.c_str(), 1), 0);
   constexpr int kThreads = 16;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -365,9 +380,8 @@ TEST(ThreadPoolStress, BadEnvWarnOnceSurvivesThunderingHerd) {
   for (std::thread& thread : threads) {
     thread.join();
   }
-  EXPECT_EQ(WarningCapture::messages().size(), 1u);
-  EXPECT_NE(WarningCapture::messages()[0].find("stress-herd"),
-            std::string::npos);
+  ASSERT_EQ(WarningCapture::messages().size(), 1u);
+  EXPECT_NE(WarningCapture::messages()[0].find(herd), std::string::npos);
 }
 
 }  // namespace

@@ -346,6 +346,107 @@ TEST(ExecutorOracle, MatchesPerCycleExecutorOnClampedWindows) {
   }
 }
 
+// Fixed shapes at the edges of the executor's GEMM kernel calls, which
+// the small random draws (at most 96 rows, 48 columns and 14 x 14
+// images, stride 1, pad 0) rarely or never reach.  Each asserts the
+// count that proves it reaches its edge.  The kernel's register blocks
+// are 4 or 6 columns of C by 6, 12 or 24 bases, its depth blocks 256
+// rows; the executor gathers up to 96 bases per call.
+
+/// The plan `mapper` chooses for `shape` on `geometry`.
+MappingPlan plan_of(const std::string& mapper, const ConvShape& shape,
+                    const ArrayGeometry& geometry) {
+  return build_plan_for_cost(shape, geometry,
+                             make_mapper(mapper)->map(shape, geometry).cost);
+}
+
+/// Cells column `cb` of `tile` holds: the rows of its group.
+Count column_cells(const ConvShape& shape, const ArrayTile& tile,
+                   const ColBinding& cb) {
+  Count cells = 0;
+  for_each_cell(shape, tile,
+                [&](const RowBinding&, const ColBinding& col, Dim, Dim) {
+                  cells += &col == &cb ? 1 : 0;
+                });
+  return cells;
+}
+
+/// Every option mix agrees with the per-cycle executor on `plan`.
+void expect_oracle_on_every_option_mix(const MappingPlan& plan) {
+  for (const ExecutionOptions& options : option_grid()) {
+    EXPECT_EQ(compare_executors(plan, 11, options), "");
+  }
+}
+
+TEST(ExecutorOracle, GroupDeeperThanOneKernelDepthBlock) {
+  // im2col: one group, its rows the 33 x 3 x 3 = 297 kernel elements,
+  // so each read-out runs over a second depth block of 41 rows.
+  const MappingPlan plan =
+      plan_of("im2col", ConvShape::square(6, 3, 33, 8), {512, 64});
+  ASSERT_EQ(plan.tiles.size(), 1u);
+  const Count rows = column_cells(plan.shape, plan.tiles[0],
+                                  plan.tiles[0].cols.front());
+  EXPECT_EQ(rows, 297);
+  EXPECT_GT(rows, 256);
+  EXPECT_NE(rows % 256, 0);
+  expect_oracle_on_every_option_mix(plan);
+}
+
+TEST(ExecutorOracle, BaseCountSpansSeveralBaseBlocks) {
+  // A 3 x 195 input gives a 1 x 193 output grid: 193 bases, a prime, so
+  // no register block or base block divides it, and 193 > 2 x 96.
+  ConvShape shape = ConvShape::square(3, 3, 2, 5);
+  shape.ifm_w = 195;
+  const MappingPlan plan = plan_of("im2col", shape, {32, 16});
+  const std::size_t bases = plan.base_y.size() * plan.base_x.size();
+  EXPECT_EQ(bases, 193u);
+  for (const std::size_t block : {4u, 6u, 12u, 24u, 96u}) {
+    EXPECT_NE(bases % block, 0u) << block;
+  }
+  EXPECT_GT(bases, 2u * 96u);
+  expect_oracle_on_every_option_mix(plan);
+}
+
+TEST(ExecutorOracle, GroupColumnsOffTheRegisterBlock) {
+  // im2col: one group of all 37 output channels, so the last register
+  // block of read-outs holds 1 column at 4 or 6 per block.
+  const MappingPlan plan =
+      plan_of("im2col", ConvShape::square(5, 3, 4, 37), {64, 48});
+  ASSERT_EQ(plan.tiles.size(), 1u);
+  const std::size_t cols = plan.tiles[0].cols.size();
+  EXPECT_EQ(cols, 37u);
+  for (const std::size_t block : {4u, 6u, 12u, 24u}) {
+    EXPECT_NE(cols % block, 0u) << block;
+  }
+  expect_oracle_on_every_option_mix(plan);
+}
+
+TEST(ExecutorOracle, SmdFinalChunkWithIdleDuplicates) {
+  // 16 windows in chunks of 3 duplicates: the sixth chunk runs one
+  // window, and its other two duplicates are driven with zeros.
+  const MappingPlan plan =
+      plan_of("smd", ConvShape::square(6, 3, 2, 4), {64, 32});
+  ASSERT_EQ(plan.kind, PlanKind::kSmd);
+  EXPECT_EQ(plan.cost.smd_duplicates, 3);
+  EXPECT_EQ(plan.shape.num_windows() % plan.cost.smd_duplicates, 1);
+  expect_oracle_on_every_option_mix(plan);
+}
+
+TEST(ExecutorOracle, PaddedStride2Windows) {
+  // A 9 x 9 input, stride 2, pad 1, on a vw-sdk plan: the first base's
+  // window starts in the zero padding, so the gather must drive zeros.
+  ConvShape shape = ConvShape::square(9, 3, 4, 6);
+  shape.stride_h = shape.stride_w = 2;
+  shape.pad_h = shape.pad_w = 1;
+  const MappingPlan plan = plan_of("vw-sdk", shape, {64, 32});
+  ASSERT_EQ(plan.kind, PlanKind::kWindowed);
+  EXPECT_EQ(plan.base_y.front(), 0);
+  EXPECT_EQ(plan.base_x.front(), 0);
+  EXPECT_LT(plan.base_y.front(), shape.pad_h);
+  EXPECT_EQ(plan.base_y.size() * plan.base_x.size(), 15u);
+  expect_oracle_on_every_option_mix(plan);
+}
+
 TEST(ExecutorOracle, MatchesPerCycleExecutorOnResNet18At512x512) {
   const Network network = model_by_name("resnet18");
   const ArrayGeometry geometry{512, 512};
