@@ -21,18 +21,22 @@
 /// the ratio is the executor's own overhead: programming, gathering and
 /// ADC accumulation.  A third section reports the same ratio on
 /// ResNet-18 conv5 (7x7, 512 to 512, 25 bases per tile), where tile
-/// programming rather than arithmetic bounds the executor.
+/// programming rather than arithmetic bounds the executor.  Both
+/// sections also report, ungated, the best of three `validate_plan`
+/// wall times: the validation a `verify` pays on top of `execute_plan`.
 
 #include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/mapper_registry.h"
 #include "mapping/plan_builder.h"
+#include "mapping/plan_validate.h"
 #include "sim/executor.h"
 #include "tensor/exec_backend.h"
 #include "tensor/tensor_ops.h"
@@ -75,6 +79,8 @@ double crossbar_vs_reference(vwsdk::bench::JsonReporter& reporter,
   const ArrayGeometry geometry{512, 512};
   const MappingPlan plan = build_plan_for_cost(
       shape, geometry, make_mapper("vw-sdk")->map(shape, geometry).cost);
+  std::vector<std::string> issues;
+  const double validate_ms = best_of_3([&] { issues = validate_plan(plan); });
   ExecutionOptions options;
   options.validate_plan = false;  // time the execution alone
   ExecutionResult executed;
@@ -91,6 +97,9 @@ double crossbar_vs_reference(vwsdk::bench::JsonReporter& reporter,
       paper_cycles, executed.cycles);
   reporter.expect_true(cat(layer, " execute_plan OFM EXACT against gemm"),
                        exactly_equal(executed.ofm, reference));
+  reporter.expect_true(cat(layer, " plan valid"), issues.empty());
+  reporter.report_value(cat(layer, " validate_plan wall ms (best of 3)"),
+                        validate_ms);
   reporter.report_value(cat(layer, " execute_plan wall ms (best of 3)"),
                         exec_ms);
   reporter.report_value(

@@ -9,7 +9,8 @@
 /// each array column produces (which output channel at which window
 /// position).  Cells are not stored: which weight sits in which cell
 /// follows from the row and column bindings, by the one rule written down
-/// in holds_cell.  The functional executor (src/sim/executor.h) runs
+/// in holds_cell, and the rest of a tile's structure is derived once, by
+/// derive_layout.  The functional executor (src/sim/executor.h) runs
 /// plans on real tensors; the validator (plan_validate.h) checks their
 /// structural invariants.
 ///
@@ -22,6 +23,8 @@
 ///  * `dup` identifies the SMD duplicate block (always 0 for im2col / SDK /
 ///    VW-SDK plans).
 
+#include <cstddef>
+#include <string>
 #include <vector>
 
 #include "mapping/cost_model.h"
@@ -45,6 +48,8 @@ struct ColBinding {
   Dim win_px = 0;  ///< kernel-window x-index inside the parallel window
   Dim win_py = 0;  ///< kernel-window y-index inside the parallel window
   Dim dup = 0;     ///< SMD duplicate block (0 otherwise)
+
+  bool operator==(const ColBinding&) const = default;
 };
 
 /// One array programming: the (ar_index, ac_index) tile of the mapping.
@@ -54,6 +59,9 @@ struct ArrayTile {
   std::vector<RowBinding> rows;
   std::vector<ColBinding> cols;
 };
+
+/// "tile(ar,ac)": how plan issues name a tile.
+std::string tile_name(const ArrayTile& tile);
 
 /// Whether row `rb` and column `cb` hold a weight.  Row (ic, dy, dx) and
 /// column (oc, win_py, win_px) hold W[oc][ic][ky][kx] exactly when both
@@ -123,8 +131,39 @@ struct MappingPlan {
   /// base-grid positions (or SMD chunks) x tiles.
   Cycles total_cycles() const;
 
-  /// Total programmed cells across all tiles (counted by for_each_cell).
+  /// Total programmed cells across all tiles: the cells for_each_cell
+  /// visits, counted from the derived layout.
   Count programmed_cells() const;
 };
+
+/// The columns of one tile that share an SMD duplicate and a window
+/// position, and so hold cells in the same rows (holds_cell).
+struct ColumnGroup {
+  std::vector<const ColBinding*> cols;  ///< binding order
+  std::vector<std::size_t> rows;  ///< into TileLayout::rows, ascending
+
+  /// Its cells: cols x rows.
+  Count cells() const {
+    return static_cast<Count>(cols.size()) * static_cast<Count>(rows.size());
+  }
+};
+
+/// One tile's structure, derived from its bindings.
+struct TileLayout {
+  std::vector<const RowBinding*> rows;  ///< sorted by array row
+  std::vector<ColumnGroup> groups;      ///< in order of their first column
+};
+
+/// Every tile's layout, tiles[i] for plan.tiles[i], and one message per
+/// binding that breaks it (see plan_validate.h); a binding outside the
+/// layer is left out of the layout.
+struct PlanLayout {
+  std::vector<TileLayout> tiles;
+  std::vector<std::string> issues;
+};
+
+/// Derives `plan`'s layout, once for the validator, the executor and
+/// programmed_cells().  The result points into `plan`.
+PlanLayout derive_layout(const MappingPlan& plan);
 
 }  // namespace vwsdk

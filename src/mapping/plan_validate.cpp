@@ -11,31 +11,6 @@ namespace vwsdk {
 
 namespace {
 
-std::string tile_name(const ArrayTile& tile) {
-  return cat("tile(", tile.ar_index, ",", tile.ac_index, ")");
-}
-
-/// Binding indices of one tile axis must lie inside the array and be
-/// unique: two bindings of one index would put two weights in one device.
-template <typename Binding, typename IndexOf>
-void check_indices(const ArrayTile& tile,
-                   const std::vector<Binding>& bindings, Dim extent,
-                   const char* axis, IndexOf index_of,
-                   std::vector<std::string>& issues) {
-  std::vector<char> bound(static_cast<std::size_t>(extent), 0);
-  for (const Binding& binding : bindings) {
-    const Dim index = index_of(binding);
-    if (index < 0 || index >= extent) {
-      issues.push_back(
-          cat(tile_name(tile), ": ", axis, " ", index, " outside array"));
-    } else if (std::exchange(bound[static_cast<std::size_t>(index)], 1) !=
-               0) {
-      issues.push_back(
-          cat(tile_name(tile), ": duplicate ", axis, " binding ", index));
-    }
-  }
-}
-
 /// Coverage of one axis's entities: each must be bound in every tile of
 /// exactly one band, once per SMD duplicate.
 struct EntityCoverage {
@@ -66,14 +41,15 @@ struct EntityCoverage {
               std::vector<std::string>& issues) const {
     const Count expected = checked_mul(tiles_per_band, dups);
     for (std::size_t e = 0; e < band.size(); ++e) {
-      const std::string name = name_of(static_cast<Count>(e));
+      const auto name = [&] { return name_of(static_cast<Count>(e)); };
       if (band[e] == kUnbound) {
-        issues.push_back(cat(name, " not mapped"));
+        issues.push_back(cat(name(), " not mapped"));
       } else if (band[e] == kManyBands) {
-        issues.push_back(cat(name, " mapped in several ", band_axis, " tiles"));
+        issues.push_back(
+            cat(name(), " mapped in several ", band_axis, " tiles"));
       } else if (bindings[e] != expected) {
         issues.push_back(
-            cat(name, " bound ", bindings[e], " times, expected ", expected));
+            cat(name(), " bound ", bindings[e], " times, expected ", expected));
       }
     }
   }
@@ -86,8 +62,9 @@ struct EntityCoverage {
 
 /// A row binds the input entity (ic, dy, dx), an offset inside the plan's
 /// window (the kernel window for im2col and SMD plans); a column binds the
-/// output entity (oc, win_py, win_px).
-void check_coverage(const MappingPlan& plan,
+/// output entity (oc, win_py, win_px).  The layout holds only bindings
+/// inside the layer.
+void check_coverage(const MappingPlan& plan, const PlanLayout& layout,
                     std::vector<std::string>& issues) {
   const ConvShape& s = plan.shape;
   const ParallelWindow& window = plan.cost.window;
@@ -107,37 +84,26 @@ void check_coverage(const MappingPlan& plan,
 
   EntityCoverage inputs(checked_mul(area, s.in_channels), dups);
   EntityCoverage outputs(checked_mul(n_wp, s.out_channels), dups);
-  Count tile_number = 0;
-  for (const ArrayTile& tile : plan.tiles) {
-    ++tile_number;
-    for (const RowBinding& rb : tile.rows) {
-      if (rb.ic < 0 || rb.ic >= s.in_channels || rb.dy < 0 ||
-          rb.dy >= window.h || rb.dx < 0 || rb.dx >= window.w ||
-          rb.dup < 0 || rb.dup >= dups) {
-        issues.push_back(cat(tile_name(tile), ": row ", rb.row,
-                             " binds an input outside the layer"));
-        continue;
-      }
+  for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
+    const ArrayTile& tile = plan.tiles[t];
+    const Count tile_number = static_cast<Count>(t) + 1;
+    for (const RowBinding* rb : layout.tiles[t].rows) {
       const Count e =
-          (static_cast<Count>(rb.ic) * window.h + rb.dy) * window.w + rb.dx;
-      if (!inputs.bind(e, rb.dup, tile.ar_index, tile_number)) {
+          (static_cast<Count>(rb->ic) * window.h + rb->dy) * window.w + rb->dx;
+      if (!inputs.bind(e, rb->dup, tile.ar_index, tile_number)) {
         issues.push_back(
             cat(tile_name(tile), ": ", input_name(e), " bound twice"));
       }
     }
-    for (const ColBinding& cb : tile.cols) {
-      if (cb.oc < 0 || cb.oc >= s.out_channels || cb.win_py < 0 ||
-          cb.win_py >= wip_h || cb.win_px < 0 || cb.win_px >= wip_w ||
-          cb.dup < 0 || cb.dup >= dups) {
-        issues.push_back(cat(tile_name(tile), ": col ", cb.col,
-                             " binds an output outside the layer"));
-        continue;
-      }
-      const Count e =
-          (static_cast<Count>(cb.oc) * wip_h + cb.win_py) * wip_w + cb.win_px;
-      if (!outputs.bind(e, cb.dup, tile.ac_index, tile_number)) {
-        issues.push_back(
-            cat(tile_name(tile), ": ", output_name(e), " bound twice"));
+    for (const ColumnGroup& group : layout.tiles[t].groups) {
+      for (const ColBinding* cb : group.cols) {
+        const Count e = (static_cast<Count>(cb->oc) * wip_h + cb->win_py) *
+                            wip_w +
+                        cb->win_px;
+        if (!outputs.bind(e, cb->dup, tile.ac_index, tile_number)) {
+          issues.push_back(
+              cat(tile_name(tile), ": ", output_name(e), " bound twice"));
+        }
       }
     }
   }
@@ -173,30 +139,15 @@ void check_bases(const std::vector<Dim>& bases, Count windows, Count per_pw,
   }
 }
 
-}  // namespace
-
-std::vector<std::string> validate_plan(const MappingPlan& plan) {
-  std::vector<std::string> issues;
-  const ConvShape& s = plan.shape;
-
+/// Every check, on `layout` derived from `plan`.
+std::vector<std::string> validate(const MappingPlan& plan,
+                                  const PlanLayout& layout) {
   if (plan.tiles.empty()) {
-    issues.emplace_back("plan has no tiles");
-    return issues;
+    return {"plan has no tiles"};
   }
-  if (static_cast<Count>(plan.tiles.size()) !=
-      plan.cost.ar_cycles * plan.cost.ac_cycles) {
-    issues.push_back(cat("tile count ", plan.tiles.size(),
-                         " != AR*AC = ", plan.cost.ar_cycles, "*",
-                         plan.cost.ac_cycles));
-  }
-
-  for (const ArrayTile& tile : plan.tiles) {
-    check_indices(tile, tile.rows, plan.geometry.rows, "row",
-                  [](const RowBinding& rb) { return rb.row; }, issues);
-    check_indices(tile, tile.cols, plan.geometry.cols, "col",
-                  [](const ColBinding& cb) { return cb.col; }, issues);
-  }
-  check_coverage(plan, issues);
+  const ConvShape& s = plan.shape;
+  std::vector<std::string> issues = layout.issues;
+  check_coverage(plan, layout, issues);
 
   // Window coverage by the base grid (SMD covers windows by construction).
   if (plan.kind != PlanKind::kSmd) {
@@ -215,8 +166,18 @@ std::vector<std::string> validate_plan(const MappingPlan& plan) {
   return issues;
 }
 
+}  // namespace
+
+std::vector<std::string> validate_plan(const MappingPlan& plan) {
+  return validate(plan, derive_layout(plan));
+}
+
 void expect_valid(const MappingPlan& plan) {
-  const std::vector<std::string> issues = validate_plan(plan);
+  expect_valid(plan, derive_layout(plan));
+}
+
+void expect_valid(const MappingPlan& plan, const PlanLayout& layout) {
+  const std::vector<std::string> issues = validate(plan, layout);
   if (!issues.empty()) {
     throw InternalError(cat("invalid mapping plan (", issues.size(),
                             " issues): ", join(issues, "; ")));

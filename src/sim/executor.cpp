@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <optional>
-#include <tuple>
 #include <utility>
 
 #include "common/error.h"
@@ -27,46 +25,6 @@ constexpr std::size_t kBaseBlock = 96;
 /// window of an idle SMD duplicate, driven with zeros.
 constexpr Dim kIdle = std::numeric_limits<Dim>::min() / 2;
 
-/// `bindings` ordered by array index; throws if an index lies outside
-/// [0, limit) or repeats (two bindings would collide in a cell).
-template <typename Binding, typename Index>
-std::vector<const Binding*> sorted_bindings(
-    const std::vector<Binding>& bindings, Index index, Dim limit,
-    const char* what) {
-  std::vector<const Binding*> sorted;
-  for (const Binding& binding : bindings) {
-    VWSDK_REQUIRE(index(binding) >= 0 && index(binding) < limit,
-                  cat(what, " ", index(binding), " lies outside the array"));
-    sorted.push_back(&binding);
-  }
-  std::sort(sorted.begin(), sorted.end(),
-            [&](const Binding* a, const Binding* b) {
-              return index(*a) < index(*b);
-            });
-  const auto twice = std::adjacent_find(
-      sorted.begin(), sorted.end(), [&](const Binding* a, const Binding* b) {
-        return index(*a) == index(*b);
-      });
-  VWSDK_REQUIRE(twice == sorted.end(),
-                cat(what, " ", index(**twice),
-                    " bound twice in one tile: mapping plans must not "
-                    "collide"));
-  return sorted;
-}
-
-/// Columns of one SMD duplicate and window position hold cells in the
-/// same rows (holds_cell).  A group's weights are programmed side by
-/// side, n_cols x rows row-major, over only those rows: any other row
-/// holds a structural zero, and skipping it skips x * 0 = +-0, which
-/// leaves a sum that is never -0 exact for finite x.
-struct ColumnGroup {
-  const ColBinding* first = nullptr;  ///< its first column binding
-  std::vector<std::size_t> cols;      ///< array columns, binding order
-  /// Its rows, ascending, as indices into the tile's rows sorted by row.
-  std::vector<std::size_t> rows;
-  std::size_t offset = 0;  ///< its first weight in the tile block
-};
-
 }  // namespace
 
 ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
@@ -83,9 +41,16 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   VWSDK_REQUIRE(weights.shape() == expected_weights,
                 cat("weight shape ", weights.shape().to_string(),
                     " does not match layer ", shape.to_string()));
+  // Every check of the bindings runs once, in the derivation; with the
+  // validator off, a binding that breaks the layout still stops the run.
+  const PlanLayout layout = derive_layout(plan);
   if (options.validate_plan) {
-    expect_valid(plan);
+    expect_valid(plan, layout);
   }
+  VWSDK_REQUIRE(layout.issues.empty(),
+                cat("invalid tile bindings (",
+                    layout.issues.size(), " issues): ",
+                    join(layout.issues, "; ")));
 
   // A base is a parallel-window position; for SMD it is a chunk of D
   // consecutive kernel windows, row-major over the output grid, with
@@ -100,10 +65,6 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
           : static_cast<Count>(plan.base_y.size() * nbx));
   const std::size_t bands =
       smd ? 1 : static_cast<std::size_t>(plan.cost.ac_cycles);
-  VWSDK_ASSERT(plan.tiles.size() ==
-                   (smd ? 1 : static_cast<std::size_t>(plan.cost.ar_cycles) *
-                                  bands),
-               "the plan's tiles do not match its AR x AC");
   // Output position of each base's first window (SMD: of every window),
   // and of the window duplicate `dup` computes at `base`; none for an
   // idle SMD duplicate in the final chunk.
@@ -132,12 +93,9 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   // read-out is committed as is, and -0.0 is the exact identity of +.
   std::vector<std::size_t> band_cols(bands, 0);
   for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
-    const auto cols = sorted_bindings(
-        plan.tiles[t].cols, [](const ColBinding& cb) { return cb.col; },
-        plan.geometry.cols, "column");
-    std::size_t& width = band_cols[t % bands];
-    if (!cols.empty()) {
-      width = std::max(width, static_cast<std::size_t>(cols.back()->col) + 1);
+    for (const ColBinding& cb : plan.tiles[t].cols) {
+      band_cols[t % bands] = std::max(band_cols[t % bands],
+                                      static_cast<std::size_t>(cb.col) + 1);
     }
   }
   std::vector<std::vector<double>> band_acc(bands);
@@ -174,69 +132,34 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
       static_cast<std::size_t>(plan.geometry.cols));
   std::vector<std::size_t> column_places(column_start.size());
   std::vector<double> block;
-  std::vector<ColumnGroup> groups;
   std::vector<Dim> origin_y(kBaseBlock);
   std::vector<Dim> origin_x(kBaseBlock);
   std::vector<Count> origin(kBaseBlock);  // origin_y * ifm_w + origin_x
-  // Per row of the tile, sorted, its (ic, dy, dx) as an input offset.
-  std::vector<Count> row_offset(array_rows);
   std::vector<double> drive;
   std::vector<double> readout;
   for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
     const ArrayTile& tile = plan.tiles[t];
-    const auto rows = sorted_bindings(
-        tile.rows, [](const RowBinding& rb) { return rb.row; },
-        plan.geometry.rows, "row");
-    const std::size_t n_rows = rows.size();
-    for (std::size_t p = 0; p < n_rows; ++p) {
-      VWSDK_REQUIRE(rows[p]->ic >= 0 && rows[p]->ic < shape.in_channels,
-                    cat("row ", rows[p]->row, " reads input channel ",
-                        rows[p]->ic, " of ", shape.in_channels));
-      row_offset[p] = rows[p]->ic * plane +
-                      static_cast<Count>(rows[p]->dy) * shape.ifm_w +
-                      rows[p]->dx;
-    }
-
-    // Group the columns by (dup, win_py, win_px), in binding order.
-    // Groups keep their storage across tiles (freed pages fault back in).
-    std::map<std::tuple<Dim, Dim, Dim>, std::size_t> group_of;
-    for (const ColBinding& cb : tile.cols) {
-      VWSDK_REQUIRE(cb.oc >= 0 && cb.oc < shape.out_channels,
-                    cat("column ", cb.col, " produces output channel ",
-                        cb.oc, " of ", shape.out_channels));
-      const auto [it, added] = group_of.try_emplace(
-          std::tuple{cb.dup, cb.win_py, cb.win_px}, group_of.size());
-      if (added && groups.size() < group_of.size()) {
-        groups.emplace_back();
-      }
-      ColumnGroup& group = groups[it->second];
-      if (added) {
-        group.first = &cb;
-        group.cols.clear();
-      }
-      group.cols.push_back(static_cast<std::size_t>(cb.col));
-    }
-    const std::size_t n_groups = group_of.size();
+    const TileLayout& tile_layout = layout.tiles[t];
+    const std::vector<const RowBinding*>& rows = tile_layout.rows;
+    // A group's weights are programmed side by side, n_cols x rows
+    // row-major, over only the rows it holds cells in: any other row
+    // holds a structural zero, and skipping it skips x * 0 = +-0, which
+    // leaves a sum that is never -0 exact for finite x.
+    const std::size_t n_groups = tile_layout.groups.size();
     place.resize(n_groups * array_rows);
     std::size_t cells = 0;
     for (std::size_t g = 0; g < n_groups; ++g) {
-      ColumnGroup& group = groups[g];
-      group.rows.clear();
-      for (std::size_t p = 0; p < n_rows; ++p) {
-        Dim ky = 0;
-        Dim kx = 0;
-        if (holds_cell(shape, *rows[p], *group.first, ky, kx)) {
-          place[g * array_rows + static_cast<std::size_t>(rows[p]->row)] =
-              group.rows.size();
-          group.rows.push_back(p);
-        }
+      const auto& group = tile_layout.groups[g];
+      for (std::size_t q = 0; q < group.rows.size(); ++q) {
+        place[g * array_rows +
+              static_cast<std::size_t>(rows[group.rows[q]]->row)] = q;
       }
-      group.offset = cells;
       for (std::size_t j = 0; j < group.cols.size(); ++j) {
-        column_start[group.cols[j]] = cells + j * group.rows.size();
-        column_places[group.cols[j]] = g * array_rows;
+        const auto col = static_cast<std::size_t>(group.cols[j]->col);
+        column_start[col] = cells + j * group.rows.size();
+        column_places[col] = g * array_rows;
       }
-      cells += group.cols.size() * group.rows.size();
+      cells += static_cast<std::size_t>(group.cells());
     }
 
     // Every weight of the block is one programmed cell.  The callback
@@ -269,7 +192,10 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
 
     double* acc = band_acc[t % bands].data();
     for (std::size_t g = 0; g < n_groups; ++g) {
-      const ColumnGroup& group = groups[g];
+      const auto& group = tile_layout.groups[g];
+      const ColBinding& first = *group.cols.front();
+      const double* weights_at =
+          block.data() + column_start[static_cast<std::size_t>(first.col)];
       const std::size_t n_cols = group.cols.size();
       const std::size_t k = group.rows.size();
       for (std::size_t b0 = 0; b0 < n_base; b0 += kBaseBlock) {
@@ -279,7 +205,7 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
         // every base of the block.
         bool inside = true;
         for (std::size_t i = 0; i < live; ++i) {
-          const auto* at = window(b0 + i, group.first->dup);
+          const auto* at = window(b0 + i, first.dup);
           origin_y[i] = kIdle;
           origin_x[i] = kIdle;
           if (at != nullptr) {
@@ -288,8 +214,8 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
           }
           origin[i] =
               static_cast<Count>(origin_y[i]) * shape.ifm_w + origin_x[i];
-          const Dim y = origin_y[i] + group.first->win_py * shape.stride_h;
-          const Dim x = origin_x[i] + group.first->win_px * shape.stride_w;
+          const Dim y = origin_y[i] + first.win_py * shape.stride_h;
+          const Dim x = origin_x[i] + first.win_px * shape.stride_w;
           inside = inside && y >= 0 && y + shape.kernel_h <= shape.ifm_h &&
                    x >= 0 && x + shape.kernel_w <= shape.ifm_w;
         }
@@ -297,25 +223,28 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
         // idle duplicate and for the zero padding around the input.
         drive.resize(k * live);
         for (std::size_t q = 0; q < k; ++q) {
-          const std::size_t p = group.rows[q];
+          const RowBinding& rb = *rows[group.rows[q]];
           double* to = drive.data() + q * live;
           if (inside) {
+            // The row's (ic, dy, dx) as an input offset.
+            const Count offset =
+                rb.ic * plane + static_cast<Count>(rb.dy) * shape.ifm_w + rb.dx;
             for (std::size_t i = 0; i < live; ++i) {
-              to[i] = in[row_offset[p] + origin[i]];
+              to[i] = in[offset + origin[i]];
             }
             continue;
           }
-          const double* channel = in + rows[p]->ic * plane;
+          const double* channel = in + rb.ic * plane;
           for (std::size_t i = 0; i < live; ++i) {
-            const Dim y = origin_y[i] + rows[p]->dy;
-            const Dim x = origin_x[i] + rows[p]->dx;
+            const Dim y = origin_y[i] + rb.dy;
+            const Dim x = origin_x[i] + rb.dx;
             to[i] = y >= 0 && y < shape.ifm_h && x >= 0 && x < shape.ifm_w
                         ? channel[static_cast<Count>(y) * shape.ifm_w + x]
                         : 0.0;
           }
         }
         readout.resize(n_cols * live);
-        const GemmOperands operands{block.data() + group.offset,
+        const GemmOperands operands{weights_at,
                                     drive.data(),
                                     readout.data(),
                                     static_cast<Count>(n_cols),
@@ -323,7 +252,8 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
                                     static_cast<Count>(live)};
         kernel.multiply(operands, 0, kernel.units(operands));
         for (std::size_t j = 0; j < n_cols; ++j) {
-          double* sum = acc + group.cols[j] * n_base + b0;
+          double* sum =
+              acc + static_cast<std::size_t>(group.cols[j]->col) * n_base + b0;
           const double* out = readout.data() + j * live;
           for (std::size_t i = 0; i < live; ++i) {
             sum[i] += options.adc.convert(out[i]);
@@ -345,12 +275,13 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   }
 
   // Commit AC band -> column binding -> base, along the accumulators.
-  // Column bindings are identical across the AR tiles of one AC band;
-  // commit with the last tile's.  An output computed more than once (an
-  // overlapping clamped window) keeps the copy of its latest base, and
-  // within one base of its latest band and binding.  Each copy must
-  // reproduce the others exactly, except in noisy runs, where each copy
-  // of a weight carries its own independently drawn noise.
+  // Column bindings are identical across the AR tiles of one AC band
+  // (derive_layout checks it); commit with the last tile's.  An output
+  // computed more than once (an overlapping clamped window) keeps the
+  // copy of its latest base, and within one base of its latest band and
+  // binding.  Each copy must reproduce the others exactly, except in
+  // noisy runs, where each copy of a weight carries its own
+  // independently drawn noise.
   result.ofm = Tensord::feature_map(shape.out_channels,
                                     static_cast<Dim>(shape.windows_h()),
                                     static_cast<Dim>(shape.windows_w()));

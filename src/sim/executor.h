@@ -6,9 +6,11 @@
 /// The executor is tile-major, and each tile runs in four steps:
 ///  1. Program: the tile's cells are written once, in for_each_cell
 ///     order (the order device noise is drawn in), into one block of
-///     column groups.  A group is the columns of one SMD duplicate and
-///     window position; each column's weights sit contiguously over the
-///     rows its group holds cells in, ascending.
+///     the column groups of its layout (derive_layout, derived once for
+///     the whole plan and shared with the validator).  A group is the
+///     columns of one SMD duplicate and window position; each column's
+///     weights sit contiguously over the rows its group holds cells in,
+///     ascending.
 ///  2. Gather: for a block of up to 96 parallel-window bases, the
 ///     inputs those rows are driven with, zero for padding and idle SMD
 ///     duplicates, from per-row input offsets and per-base window

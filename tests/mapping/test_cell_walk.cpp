@@ -2,7 +2,9 @@
 /// builders used to store.  `legacy_cells` is a test-only copy of the four
 /// cell-emission loops the builders ran before cells were derived from the
 /// bindings; the walk must visit exactly those cells in exactly that
-/// order, because crossbars draw device noise in visit order.
+/// order, because crossbars draw device noise in visit order.  The tile
+/// layout derive_layout gives the validator and the executor must hold
+/// exactly the cells the walk visits.
 
 #include <gtest/gtest.h>
 
@@ -131,15 +133,40 @@ std::vector<Cell> legacy_cells(const MappingPlan& plan,
   return {};
 }
 
-/// Walks every tile of `plan` and compares against the legacy list; on
-/// the first disagreement returns a description, else an empty string.
+/// The rows, ascending, that `layout`'s groups give each array column,
+/// for the `cols` columns of the array; empty for a column in no group.
+std::vector<std::vector<Dim>> layout_rows(const TileLayout& layout,
+                                          std::size_t cols) {
+  std::vector<std::vector<Dim>> rows(cols);
+  for (const ColumnGroup& group : layout.groups) {
+    for (const ColBinding* cb : group.cols) {
+      for (const std::size_t p : group.rows) {
+        rows[static_cast<std::size_t>(cb->col)].push_back(layout.rows[p]->row);
+      }
+    }
+  }
+  return rows;
+}
+
+/// Walks every tile of `plan` and compares against the legacy list, and
+/// the derived layout against the walk: each column's rows must be the
+/// rows the walk visits in it, and programmed_cells() the cells it
+/// visits.  On the first disagreement returns a description, else an
+/// empty string.
 std::string compare_walk(const MappingPlan& plan) {
   const auto cols = static_cast<std::size_t>(plan.geometry.cols);
+  const PlanLayout layout = derive_layout(plan);
+  if (!layout.issues.empty()) {
+    return cat("layout: ", layout.issues.front());
+  }
   std::vector<char> visited(
       static_cast<std::size_t>(plan.geometry.cell_count()), 0);
-  for (const ArrayTile& tile : plan.tiles) {
+  Count cells = 0;
+  for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
+    const ArrayTile& tile = plan.tiles[t];
     const std::vector<Cell> expected = legacy_cells(plan, tile);
     std::fill(visited.begin(), visited.end(), 0);
+    std::vector<std::vector<Dim>> walked(cols);
     std::size_t next = 0;
     std::string error;
     for_each_cell(plan.shape, tile,
@@ -159,15 +186,31 @@ std::string compare_walk(const MappingPlan& plan) {
                       error = cat("cell (", rb.row, ",", cb.col,
                                   ") visited twice");
                     }
+                    walked[static_cast<std::size_t>(cb.col)].push_back(
+                        rb.row);
                     ++next;
                   });
     if (error.empty() && next != expected.size()) {
       error = cat("walk visited ", next, " cells, legacy list has ",
                   expected.size());
     }
+    const std::vector<std::vector<Dim>> derived =
+        layout_rows(layout.tiles[t], cols);
+    for (std::size_t col = 0; error.empty() && col < cols; ++col) {
+      std::sort(walked[col].begin(), walked[col].end());
+      if (derived[col] != walked[col]) {
+        error = cat("layout rows of column ", col, " differ from the ",
+                    walked[col].size(), " rows the walk visits");
+      }
+    }
     if (!error.empty()) {
       return cat("tile(", tile.ar_index, ",", tile.ac_index, "): ", error);
     }
+    cells += static_cast<Count>(next);
+  }
+  if (plan.programmed_cells() != cells) {
+    return cat("programmed_cells() ", plan.programmed_cells(),
+               ", the walk visits ", cells);
   }
   return "";
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 #include "mapping/plan_builder.h"
@@ -113,6 +114,20 @@ TEST(PlanValidate, DetectsRowMissingFromOneTileOfItsBand) {
   ASSERT_EQ(plan.cost.ac_cycles, 3);
   plan.tiles[1].rows.pop_back();
   EXPECT_TRUE(has_issue(plan, "bound 2 times, expected 3"));
+}
+
+TEST(PlanValidate, DetectsColumnsThatDifferAcrossOneAcBand) {
+  // AR = 2, AC = 3: the executor sums tile(0,0) and tile(1,0) per array
+  // column, so both must bind each column to the same output.  Swapping
+  // two column indices in tile(0,0) alone keeps every index unique and
+  // every output covered.
+  const ConvShape shape = ConvShape::square(8, 3, 9, 40);
+  MappingPlan plan = build_plan_for_window(shape, kSmall, {4, 3});
+  ASSERT_EQ(plan.cost.ar_cycles, 2);
+  std::swap(plan.tiles[0].cols[0].col, plan.tiles[0].cols[1].col);
+  EXPECT_TRUE(has_issue(
+      plan, "tile(1,0): column bindings differ from tile(0,0)"));
+  EXPECT_THROW(expect_valid(plan), InternalError);
 }
 
 TEST(PlanValidate, DetectsBindingOutsideTheLayer) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 
 #include "common/error.h"
 #include "mapping/activity.h"
@@ -298,6 +299,18 @@ TEST(Executor, BindingOutsideTheArrayIsRejected) {
     EXPECT_THROW(execute_plan(plan, ifm, weights, options), InvalidArgument)
         << "col " << col;
   }
+}
+
+TEST(Executor, ColumnsThatDifferAcrossOneAcBandAreRejected) {
+  // tile(0,0) and tile(1,0) would sum different outputs in one array
+  // column; the commit reads the band's outputs off tile(1,0) alone.
+  MappingPlan plan = sample_plan();
+  std::swap(plan.tiles[0].cols[0].col, plan.tiles[0].cols[1].col);
+  const auto [ifm, weights] = sample_tensors(plan.shape, 16);
+  EXPECT_THROW(execute_plan(plan, ifm, weights), InternalError);
+  ExecutionOptions options;
+  options.validate_plan = false;
+  EXPECT_THROW(execute_plan(plan, ifm, weights, options), InvalidArgument);
 }
 
 TEST(Executor, AdcAppliedPerColumnBeforeArAccumulation) {

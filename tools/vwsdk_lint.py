@@ -2,7 +2,7 @@
 """Repo-invariant lint: the static checks the compiler cannot express.
 
 Registered as the ctest ``lint.invariants`` (label "lint"), mirroring
-tools/check_doc_comments.py.  Eleven rules, each enforcing a contract the
+tools/check_doc_comments.py.  Twelve rules, each enforcing a contract the
 codebase documents elsewhere:
 
   determinism      no nondeterminism sources (std::rand, time(),
@@ -61,6 +61,11 @@ codebase documents elsewhere:
                    run time, so a build must not take its ISA from the
                    machine that compiles it, nor a function its ISA
                    from an attribute the per-unit flags do not see.
+  one-layout       outside src/mapping/, no `holds_cell(` call and no
+                   sort over row or column bindings: a tile's
+                   structure is derived once, by derive_layout
+                   (mapping/mapping_plan.h), and its consumers read the
+                   derived layout instead of deriving it again.
 
 ``--self-test`` first runs every rule against embedded known-bad
 snippets and fails if any rule has gone blind; then the real tree is
@@ -645,6 +650,54 @@ def rule_isa_flags(tree: dict[str, str]) -> list[Failure]:
 
 
 # --------------------------------------------------------------------------
+# Rule: one-layout
+# --------------------------------------------------------------------------
+
+SORT_CALL = re.compile(r"\bstd::(?:ranges::)?(?:stable_)?sort\s*\(")
+BINDING_WORD = re.compile(r"\w*Binding\b")
+
+
+def call_arguments(code: str, open_paren: int) -> str:
+    """The text between the parenthesis at `open_paren` and its match."""
+    depth = 0
+    for i in range(open_paren, len(code)):
+        if code[i] == "(":
+            depth += 1
+        elif code[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return code[open_paren + 1:i]
+    return code[open_paren + 1:]
+
+
+def rule_one_layout(tree: dict[str, str]) -> list[Failure]:
+    """A tile's rows in array order and its column groups are derived
+    once, in src/mapping/; nothing else in src/ tests cells with
+    holds_cell or sorts row or column bindings."""
+    failures = []
+    for path, text in sorted(tree.items()):
+        if not path.startswith("src/") or path.startswith("src/mapping/"):
+            continue
+        if not path.endswith((".h", ".cpp")):
+            continue
+        code = strip_comments(text)
+        for match in re.finditer(r"\bholds_cell\s*\(", code):
+            failures.append(
+                f"{path}:{line_of(code, match.start())}: holds_cell call "
+                "outside src/mapping/ -- read the column groups of "
+                "derive_layout instead (one-layout rule, "
+                "mapping/mapping_plan.h)")
+        for match in SORT_CALL.finditer(code):
+            if BINDING_WORD.search(call_arguments(code, match.end() - 1)):
+                failures.append(
+                    f"{path}:{line_of(code, match.start())}: sort over "
+                    "row or column bindings outside src/mapping/ -- read "
+                    "the rows of derive_layout instead (one-layout rule, "
+                    "mapping/mapping_plan.h)")
+    return failures
+
+
+# --------------------------------------------------------------------------
 # Self-tests: one known-bad snippet per rule; a rule that stays silent
 # on its bad snippet has gone blind and the lint run fails.
 # --------------------------------------------------------------------------
@@ -796,6 +849,21 @@ void register_orphan_mapper(MapperRegistry& registry) { registry.add(a); }
         "src/tensor/bad.cpp":
             "__attribute__((target(\"avx2\"))) void f();",
     }),
+    ("one-layout", rule_one_layout, {
+        "src/sim/bad.cpp":
+            "if (holds_cell(shape, rb, cb, ky, kx)) { ++cells; }",
+    }),
+    ("one-layout", rule_one_layout, {
+        "src/sim/bad.cpp": (
+            "std::sort(rows.begin(), rows.end(),\n"
+            "          [](const RowBinding& a, const RowBinding& b) {\n"
+            "            return a.row < b.row;\n"
+            "          });\n"),
+    }),
+    ("one-layout", rule_one_layout, {
+        "src/core/bad.cpp":
+            "std::ranges::sort(sorted, {}, &ColBinding::col);",
+    }),
     ("nolint-discipline", rule_nolint_discipline, {
         # specific check but no justification
         "src/core/bad.cpp":
@@ -867,6 +935,16 @@ CLEAN_TREES = [
             "[[gnu::noinline]] void f();\n"),
         "tools/notes.py": "# -march=native is only named here",
     }),
+    (rule_one_layout, {
+        "src/mapping/mapping_plan.cpp": (
+            "std::ranges::sort(out.rows, {}, &RowBinding::row);\n"
+            "if (holds_cell(s, *out.rows[p], *first, ky, kx)) {}\n"),
+        "src/sim/ok.cpp": (
+            "// holds_cell(...) is only named in a comment here\n"
+            "std::sort(latencies.begin(), latencies.end());\n"
+            "for (const ColBinding& cb : tile.cols) { use(cb); }\n"),
+        "tests/mapping/test_ok.cpp": "holds_cell(shape, rb, cb, ky, kx);",
+    }),
     (rule_nolint_discipline, {
         "src/core/ok.cpp": (
             "// NOLINTNEXTLINE(bugprone-integer-division): intentional "
@@ -910,6 +988,7 @@ RULES = [
     ("one-pool", rule_one_pool),
     ("one-crew", rule_one_crew),
     ("isa-flags", rule_isa_flags),
+    ("one-layout", rule_one_layout),
 ]
 
 
