@@ -23,7 +23,9 @@
 /// ResNet-18 conv5 (7x7, 512 to 512, 25 bases per tile), where tile
 /// programming rather than arithmetic bounds the executor.  Both
 /// sections also report, ungated, the best of three `validate_plan`
-/// wall times: the validation a `verify` pays on top of `execute_plan`.
+/// wall times (the validation a `verify` pays on top of `execute_plan`)
+/// and of `execute_plan` fanned out over a 4-worker pool, and check that
+/// the pooled OFM is bit-identical to the unpooled one.
 
 #include <algorithm>
 #include <chrono>
@@ -66,7 +68,8 @@ double best_of_3(Run&& run) {
 /// Runs `shape`'s vw-sdk plan at 512x512 through the executor and the
 /// gemm reference on the calling thread; reports the executed cycles
 /// against Table I's `paper_cycles` for `mapping`, EXACT parity, both
-/// times and their ratio, each labelled with `layer`.
+/// times and their ratio, each labelled with `layer`, plus the
+/// executor's time and OFM on `pool`.
 /// Returns the ratio.
 double crossbar_vs_reference(vwsdk::bench::JsonReporter& reporter,
                              const std::string& layer,
@@ -74,7 +77,8 @@ double crossbar_vs_reference(vwsdk::bench::JsonReporter& reporter,
                              const vwsdk::ConvShape& shape,
                              const vwsdk::Tensord& ifm,
                              const vwsdk::Tensord& weights,
-                             long long paper_cycles) {
+                             long long paper_cycles,
+                             vwsdk::ThreadPool& pool) {
   using namespace vwsdk;
   const ArrayGeometry geometry{512, 512};
   const MappingPlan plan = build_plan_for_cost(
@@ -86,6 +90,11 @@ double crossbar_vs_reference(vwsdk::bench::JsonReporter& reporter,
   ExecutionResult executed;
   const double exec_ms = best_of_3(
       [&] { executed = execute_plan(plan, ifm, weights, options); });
+  ExecutionOptions pooled = options;
+  pooled.pool = &pool;
+  ExecutionResult fanned;
+  const double pooled_ms = best_of_3(
+      [&] { fanned = execute_plan(plan, ifm, weights, pooled); });
   const RefBackend& gemm = ref_backend("gemm");
   ConvWorkspace workspace;
   Tensord reference;
@@ -100,8 +109,15 @@ double crossbar_vs_reference(vwsdk::bench::JsonReporter& reporter,
   reporter.expect_true(cat(layer, " plan valid"), issues.empty());
   reporter.report_value(cat(layer, " validate_plan wall ms (best of 3)"),
                         validate_ms);
+  reporter.expect_true(
+      cat(layer, " execute_plan OFM identical with no pool and a ",
+          pool.size(), "-worker pool"),
+      exactly_equal(executed.ofm, fanned.ofm));
   reporter.report_value(cat(layer, " execute_plan wall ms (best of 3)"),
                         exec_ms);
+  reporter.report_value(cat(layer, " execute_plan wall ms, ", pool.size(),
+                            "-worker pool (best of 3)"),
+                        pooled_ms);
   reporter.report_value(
       cat(layer, " gemm reference wall ms, no pool (best of 3)"), gemm_ms);
   const double ratio = gemm_ms > 0.0 ? exec_ms / gemm_ms : 0.0;
@@ -147,6 +163,7 @@ int main() {
                        exactly_equal(oracle, fast));
 
   ThreadPool pool_1(1);
+  ThreadPool pool_4(4);
   ThreadPool pool_16(16);
   reporter.expect_true(
       "gemm OFM identical across 1 and 16 worker threads",
@@ -167,7 +184,7 @@ int main() {
   const double conv2_ratio =
       crossbar_vs_reference(reporter, "conv2", "4x4x32x64",
                             ConvShape::square(56, 3, 64, 64), ifm, weights,
-                            1458);
+                            1458, pool_4);
   reporter.expect_true(
       "conv2 execute_plan within 2x of the gemm reference on one thread",
       conv2_ratio <= 2.0);
@@ -179,7 +196,7 @@ int main() {
   fill_random_int(weights5, rng, 3);
   crossbar_vs_reference(reporter, "conv5", "3x3x512x512",
                         ConvShape::square(7, 3, 512, 512), ifm5, weights5,
-                        225);
+                        225, pool_4);
 
   return reporter.finish();
 }

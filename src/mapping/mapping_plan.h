@@ -80,14 +80,17 @@ inline bool holds_cell(const ConvShape& shape, const RowBinding& rb,
          kx < shape.kernel_w;
 }
 
-/// Visit every programmed cell of `tile` (see holds_cell), column binding
-/// by column binding, each column's rows in binding order.
-/// `fn(row_binding, col_binding, ky, kx)` is called once per cell; the
-/// visit order is the order crossbars are programmed in, and with it the
-/// order device noise is drawn in.
+/// Visit the programmed cells of the column bindings [col_begin,
+/// col_end) of `tile` (see holds_cell), column binding by column
+/// binding, each column's rows in binding order.
+/// `fn(row_binding, col_binding, ky, kx)` is called once per cell.  Two
+/// disjoint column ranges visit disjoint cells, so they may run on
+/// different threads.
 template <typename Fn>
-void for_each_cell(const ConvShape& shape, const ArrayTile& tile, Fn&& fn) {
-  for (const ColBinding& cb : tile.cols) {
+void for_each_cell(const ConvShape& shape, const ArrayTile& tile,
+                   std::size_t col_begin, std::size_t col_end, Fn&& fn) {
+  for (std::size_t c = col_begin; c < col_end; ++c) {
+    const ColBinding& cb = tile.cols[c];
     for (const RowBinding& rb : tile.rows) {
       Dim ky = 0;
       Dim kx = 0;
@@ -96,6 +99,14 @@ void for_each_cell(const ConvShape& shape, const ArrayTile& tile, Fn&& fn) {
       }
     }
   }
+}
+
+/// Visit every programmed cell of `tile`: the column range above over
+/// all of its columns.  The visit order is the order crossbars are
+/// programmed in, and with it the order device noise is drawn in.
+template <typename Fn>
+void for_each_cell(const ConvShape& shape, const ArrayTile& tile, Fn&& fn) {
+  for_each_cell(shape, tile, 0, tile.cols.size(), fn);
 }
 
 /// Flavor of plan layout.

@@ -223,7 +223,8 @@ NetworkVerifyResult ServiceApi::verify(const VerifyQuery& query) {
   // Resolve now: an unknown backend is a usage error before any layer
   // runs (throws NotFound listing the registered names).
   options.ref_backend = resolve_ref_backend(query.ref_backend);
-  // The reference convolution shares the search's pool (and --threads).
+  // The crossbar execution and the reference convolution share the
+  // search's pool (and --threads).
   options.pool = &pool_;
   return verify_network(spec.network, *mapper, geometry, query.seed,
                         options);

@@ -17,8 +17,8 @@
 /// Concurrency: every method is safe to call from multiple threads at
 /// once.  The pool is the only one the library owns.  `vwsdk serve`
 /// runs each request on it as an admitted task (ThreadPool::try_submit),
-/// and the layer searches and `verify`'s reference convolution fan out
-/// over the same workers through parallel_chunks, where the calling
+/// and the layer searches and `verify`'s crossbar execution and
+/// reference convolution fan out over the same workers through parallel_chunks, where the calling
 /// thread works through its own chunks, so concurrent requests share
 /// the workers and a task running on the pool may itself call the
 /// service (common/thread_pool.h).

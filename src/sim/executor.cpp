@@ -9,6 +9,7 @@
 #include "common/error.h"
 #include "common/math_util.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "mapping/plan_validate.h"
 #include "tensor/gemm_kernel.h"
 
@@ -17,13 +18,27 @@ namespace vwsdk {
 namespace {
 
 /// Bases gathered from the input per kernel call: one fixed-size block
-/// of inputs, rows x kBaseBlock, is all the scratch a group's run needs
+/// of inputs, rows x kBaseBlock, is all the scratch a work item needs
 /// besides the tile itself.
 constexpr std::size_t kBaseBlock = 96;
 
 /// An input origin no row offset brings back inside the image: the
 /// window of an idle SMD duplicate, driven with zeros.
 constexpr Dim kIdle = std::numeric_limits<Dim>::min() / 2;
+
+/// Columns of a group per kernel call: a multiple of every kernel
+/// variant's register block height (4 or 6), so a slice of a wide group
+/// ends on a full block.
+constexpr std::size_t kColumnSlice = 48;
+
+/// One read-out work item of a tile: the columns [j0, j0 + kColumnSlice)
+/// of a group, clipped to the group, at the bases [b0, b0 + kBaseBlock),
+/// clipped to the base grid.
+struct WorkItem {
+  std::size_t group = 0;  ///< into TileLayout::groups
+  std::size_t b0 = 0;     ///< first base
+  std::size_t j0 = 0;     ///< first column, into ColumnGroup::cols
+};
 
 }  // namespace
 
@@ -106,9 +121,13 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   // Program each tile once, in plan order, into a block of its column
   // groups, each column's weights contiguous over its group's rows.
   // Then run every base through each group: gather the inputs of a
-  // block of bases, multiply the group's weights by them with the GEMM
-  // kernel (one read-out per column and base, its rows summed in
-  // ascending order), and add each read-out, ADC-converted, into the band.
+  // block of bases, multiply a slice of the group's weights by them with
+  // the GEMM kernel (one read-out per column and base, its rows summed
+  // in ascending order), and add each read-out, ADC-converted, into the
+  // band.  Both steps fan out over the pool, programming by column
+  // ranges and the read-outs by work items; each writes only its own
+  // columns' cells and its own (column, base) sums, so the bits do not
+  // depend on how the work is split.
   std::optional<NoiseModel> noise;
   if (options.noise.enabled()) {
     noise.emplace(options.noise, options.noise_seed);
@@ -132,11 +151,7 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
       static_cast<std::size_t>(plan.geometry.cols));
   std::vector<std::size_t> column_places(column_start.size());
   std::vector<double> block;
-  std::vector<Dim> origin_y(kBaseBlock);
-  std::vector<Dim> origin_x(kBaseBlock);
-  std::vector<Count> origin(kBaseBlock);  // origin_y * ifm_w + origin_x
-  std::vector<double> drive;
-  std::vector<double> readout;
+  std::vector<WorkItem> items;
   for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
     const ArrayTile& tile = plan.tiles[t];
     const TileLayout& tile_layout = layout.tiles[t];
@@ -161,27 +176,40 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
       }
       cells += static_cast<std::size_t>(group.cells());
     }
+    // A tile below the cutoff runs on the calling thread, and so does the
+    // programming of a noisy run, which draws its noise in for_each_cell
+    // order.
+    ThreadPool* const pool =
+        static_cast<Count>(cells) * static_cast<Count>(n_base) <
+                kParallelCutoffMacs
+            ? nullptr
+            : options.pool;
 
     // Every weight of the block is one programmed cell.  The callback
     // captures raw pointers by value: for_each_cell is not inlined here,
     // and captures by reference cost a load through the closure per use.
     block.resize(cells);
-    for_each_cell(
-        shape, tile,
-        [out = block.data(), start = column_start.data(),
-         group_places = column_places.data(), row_place = place.data(),
-         kernels,
-         ic_count = static_cast<Count>(shape.in_channels), kernel_area,
-         kernel_w = shape.kernel_w,
-         model = noise.has_value() ? &*noise : nullptr](
-            const RowBinding& rb, const ColBinding& cb, Dim ky, Dim kx) {
-          const std::size_t col = static_cast<std::size_t>(cb.col);
-          const std::size_t row = static_cast<std::size_t>(rb.row);
-          const double value =
-              kernels[(cb.oc * ic_count + rb.ic) * kernel_area +
-                      static_cast<Count>(ky) * kernel_w + kx];
-          out[start[col] + row_place[group_places[col] + row]] =
-              model != nullptr ? model->apply(value) : value;
+    parallel_chunks(
+        noise.has_value() ? nullptr : pool,
+        static_cast<Count>(tile.cols.size()), [&](Count begin, Count end) {
+          for_each_cell(
+              shape, tile, static_cast<std::size_t>(begin),
+              static_cast<std::size_t>(end),
+              [out = block.data(), start = column_start.data(),
+               group_places = column_places.data(), row_place = place.data(),
+               kernels, ic_count = static_cast<Count>(shape.in_channels),
+               kernel_area, kernel_w = shape.kernel_w,
+               model = noise.has_value() ? &*noise : nullptr](
+                  const RowBinding& rb, const ColBinding& cb, Dim ky,
+                  Dim kx) {
+                const std::size_t col = static_cast<std::size_t>(cb.col);
+                const std::size_t row = static_cast<std::size_t>(rb.row);
+                const double value =
+                    kernels[(cb.oc * ic_count + rb.ic) * kernel_area +
+                            static_cast<Count>(ky) * kernel_w + kx];
+                out[start[col] + row_place[group_places[col] + row]] =
+                    model != nullptr ? model->apply(value) : value;
+              });
         });
     result.programmed_cells =
         checked_add(result.programmed_cells, static_cast<Count>(cells));
@@ -190,77 +218,105 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
     min_util = std::min(min_util, util);
     sum_util += util;
 
-    double* acc = band_acc[t % bands].data();
+    items.clear();
     for (std::size_t g = 0; g < n_groups; ++g) {
-      const auto& group = tile_layout.groups[g];
-      const ColBinding& first = *group.cols.front();
-      const double* weights_at =
-          block.data() + column_start[static_cast<std::size_t>(first.col)];
-      const std::size_t n_cols = group.cols.size();
-      const std::size_t k = group.rows.size();
       for (std::size_t b0 = 0; b0 < n_base; b0 += kBaseBlock) {
-        const std::size_t live = std::min(kBaseBlock, n_base - b0);
-        // Where each base's window starts in the input, unpadded, and
-        // whether the group's kernel window lies inside the input at
-        // every base of the block.
-        bool inside = true;
-        for (std::size_t i = 0; i < live; ++i) {
-          const auto* at = window(b0 + i, first.dup);
-          origin_y[i] = kIdle;
-          origin_x[i] = kIdle;
-          if (at != nullptr) {
-            origin_y[i] = at->first * shape.stride_h - shape.pad_h;
-            origin_x[i] = at->second * shape.stride_w - shape.pad_w;
-          }
-          origin[i] =
-              static_cast<Count>(origin_y[i]) * shape.ifm_w + origin_x[i];
-          const Dim y = origin_y[i] + first.win_py * shape.stride_h;
-          const Dim x = origin_x[i] + first.win_px * shape.stride_w;
-          inside = inside && y >= 0 && y + shape.kernel_h <= shape.ifm_h &&
-                   x >= 0 && x + shape.kernel_w <= shape.ifm_w;
+        for (std::size_t j0 = 0; j0 < tile_layout.groups[g].cols.size();
+             j0 += kColumnSlice) {
+          items.push_back({g, b0, j0});
         }
-        // The value each row is driven with at each base: zero for an
-        // idle duplicate and for the zero padding around the input.
-        drive.resize(k * live);
-        for (std::size_t q = 0; q < k; ++q) {
-          const RowBinding& rb = *rows[group.rows[q]];
-          double* to = drive.data() + q * live;
-          if (inside) {
-            // The row's (ic, dy, dx) as an input offset.
-            const Count offset =
-                rb.ic * plane + static_cast<Count>(rb.dy) * shape.ifm_w + rb.dx;
-            for (std::size_t i = 0; i < live; ++i) {
-              to[i] = in[offset + origin[i]];
-            }
-            continue;
-          }
-          const double* channel = in + rb.ic * plane;
+      }
+    }
+    // A chunk of work items owns its scratch: the window origins and
+    // driven inputs of the (group, base block) it gathered last, and the
+    // read-outs of one item.
+    double* acc = band_acc[t % bands].data();
+    const auto read_out = [&](Count begin, Count end) {
+      std::vector<Dim> origin_y(kBaseBlock);
+      std::vector<Dim> origin_x(kBaseBlock);
+      std::vector<Count> origin(kBaseBlock);  // origin_y * ifm_w + origin_x
+      std::vector<double> drive;
+      std::vector<double> readout;
+      const WorkItem* gathered = nullptr;  // whose inputs `drive` holds
+      for (Count it = begin; it < end; ++it) {
+        const WorkItem& item = items[static_cast<std::size_t>(it)];
+        const auto& group = tile_layout.groups[item.group];
+        const ColBinding& first = *group.cols.front();
+        const std::size_t k = group.rows.size();
+        const std::size_t live = std::min(kBaseBlock, n_base - item.b0);
+        if (gathered == nullptr || gathered->group != item.group ||
+            gathered->b0 != item.b0) {
+          gathered = &item;
+          // Where each base's window starts in the input, unpadded, and
+          // whether the group's kernel window lies inside the input at
+          // every base of the block.
+          bool inside = true;
           for (std::size_t i = 0; i < live; ++i) {
-            const Dim y = origin_y[i] + rb.dy;
-            const Dim x = origin_x[i] + rb.dx;
-            to[i] = y >= 0 && y < shape.ifm_h && x >= 0 && x < shape.ifm_w
-                        ? channel[static_cast<Count>(y) * shape.ifm_w + x]
-                        : 0.0;
+            const auto* at = window(item.b0 + i, first.dup);
+            origin_y[i] = kIdle;
+            origin_x[i] = kIdle;
+            if (at != nullptr) {
+              origin_y[i] = at->first * shape.stride_h - shape.pad_h;
+              origin_x[i] = at->second * shape.stride_w - shape.pad_w;
+            }
+            origin[i] =
+                static_cast<Count>(origin_y[i]) * shape.ifm_w + origin_x[i];
+            const Dim y = origin_y[i] + first.win_py * shape.stride_h;
+            const Dim x = origin_x[i] + first.win_px * shape.stride_w;
+            inside = inside && y >= 0 && y + shape.kernel_h <= shape.ifm_h &&
+                     x >= 0 && x + shape.kernel_w <= shape.ifm_w;
+          }
+          // The value each row is driven with at each base: zero for an
+          // idle duplicate and for the zero padding around the input.
+          drive.resize(k * live);
+          for (std::size_t q = 0; q < k; ++q) {
+            const RowBinding& rb = *rows[group.rows[q]];
+            double* to = drive.data() + q * live;
+            if (inside) {
+              // The row's (ic, dy, dx) as an input offset.
+              const Count offset = rb.ic * plane +
+                                   static_cast<Count>(rb.dy) * shape.ifm_w +
+                                   rb.dx;
+              for (std::size_t i = 0; i < live; ++i) {
+                to[i] = in[offset + origin[i]];
+              }
+              continue;
+            }
+            const double* channel = in + rb.ic * plane;
+            for (std::size_t i = 0; i < live; ++i) {
+              const Dim y = origin_y[i] + rb.dy;
+              const Dim x = origin_x[i] + rb.dx;
+              to[i] = y >= 0 && y < shape.ifm_h && x >= 0 && x < shape.ifm_w
+                          ? channel[static_cast<Count>(y) * shape.ifm_w + x]
+                          : 0.0;
+            }
           }
         }
+        const std::size_t j_end =
+            std::min(item.j0 + kColumnSlice, group.cols.size());
+        const std::size_t n_cols = j_end - item.j0;
         readout.resize(n_cols * live);
-        const GemmOperands operands{weights_at,
-                                    drive.data(),
-                                    readout.data(),
-                                    static_cast<Count>(n_cols),
-                                    static_cast<Count>(k),
-                                    static_cast<Count>(live)};
+        const GemmOperands operands{
+            block.data() + column_start[static_cast<std::size_t>(first.col)] +
+                item.j0 * k,
+            drive.data(),
+            readout.data(),
+            static_cast<Count>(n_cols),
+            static_cast<Count>(k),
+            static_cast<Count>(live)};
         kernel.multiply(operands, 0, kernel.units(operands));
-        for (std::size_t j = 0; j < n_cols; ++j) {
-          double* sum =
-              acc + static_cast<std::size_t>(group.cols[j]->col) * n_base + b0;
-          const double* out = readout.data() + j * live;
+        for (std::size_t j = item.j0; j < j_end; ++j) {
+          double* sum = acc +
+                        static_cast<std::size_t>(group.cols[j]->col) * n_base +
+                        item.b0;
+          const double* out = readout.data() + (j - item.j0) * live;
           for (std::size_t i = 0; i < live; ++i) {
             sum[i] += options.adc.convert(out[i]);
           }
         }
       }
-    }
+    };
+    parallel_chunks(pool, static_cast<Count>(items.size()), read_out);
     const Count cycles = static_cast<Count>(n_base);
     result.cycles += static_cast<Cycles>(cycles);
     result.activity.accumulate(

@@ -21,9 +21,16 @@
 ///     one computing cycle per base.
 ///  4. ADC: each read-out is converted and added into a per-AC-band
 ///     accumulator, in ascending AR order.
-/// Outputs are committed at the end.  Scratch is one tile block, one
-/// base block of inputs and read-outs, and O(output) accumulators; for
-/// finite inputs the OFM bits equal a dense crossbar's.
+/// Outputs are committed at the end.  A tile with at least
+/// kParallelCutoffMacs multiply-adds fans out over ExecutionOptions::pool:
+/// step 1 by ranges of its columns (on the calling thread when noise is
+/// on, so noise is drawn in for_each_cell order), steps 2-4 by work
+/// items of one group, one block of bases and one slice of up to 48 of
+/// the group's columns.  Each writes only its own cells and (column,
+/// base) sums, so the result is bit-identical at any pool size.  Scratch
+/// is one tile block, per work chunk one base block of inputs and
+/// read-outs, and O(output) accumulators; for finite inputs the OFM
+/// bits equal a dense crossbar's.
 ///
 /// This is the strongest form of evidence a mapping can get in software:
 /// if the plan (placement, schedule, tiling) is wrong in any way, the
@@ -54,8 +61,9 @@ struct ExecutionOptions {
   /// tensor/exec_backend.h).  The "scalar" oracle is always available.
   std::string ref_backend;
 
-  /// Pool the reference convolution fans out over, borrowed; nullptr
-  /// runs it on the calling thread.  The result is the same either way.
+  /// Pool the crossbar execution and the reference convolution fan out
+  /// over, borrowed; nullptr runs both on the calling thread.  The result
+  /// is bit-identical either way.
   ThreadPool* pool = nullptr;
 };
 

@@ -12,11 +12,6 @@ namespace vwsdk {
 
 namespace {
 
-// Below this many MACs the pool dispatch overhead dominates the
-// arithmetic; run on the calling thread instead (the result is bitwise
-// identical either way, see gemm_backend.h).
-constexpr Count kParallelCutoffMacs = Count{1} << 15;
-
 /// Lower input rows [row_begin, row_end) of the im2col matrix into
 /// `columns` (kernel_volume x windows, row-major).  Row r corresponds
 /// to kernel element (ic, ky, kx) with r = im2col_row_index(ic, ky,

@@ -28,6 +28,12 @@
 
 namespace vwsdk {
 
+/// Below this many multiply-adds per fan-out the pool's dispatch costs
+/// more than the arithmetic it spreads: the kernel's callers (the `gemm`
+/// backend per convolution, the executor per tile) pass a null pool
+/// instead.  The result is bitwise the same either way.
+constexpr Count kParallelCutoffMacs = Count{1} << 15;
+
 /// C = A * B on row-major operands: A is m x k, B is k x n, C is m x n.
 /// The kernel overwrites every element of C.
 struct GemmOperands {

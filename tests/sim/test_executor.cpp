@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "mapping/activity.h"
 #include "mapping/cost_model.h"
 #include "mapping/plan_builder.h"
@@ -157,6 +158,10 @@ TEST(Executor, NoiseIsDeterministicPerSeed) {
   const ExecutionResult a = execute_plan(plan, ifm, weights, options);
   const ExecutionResult b = execute_plan(plan, ifm, weights, options);
   EXPECT_TRUE(exactly_equal(a.ofm, b.ofm));
+  ThreadPool pool(4);
+  options.pool = &pool;
+  const ExecutionResult pooled = execute_plan(plan, ifm, weights, options);
+  EXPECT_TRUE(exactly_equal(a.ofm, pooled.ofm));
 }
 
 /// FNV-1a over the bit patterns of a tensor's values.
@@ -198,6 +203,9 @@ TEST(Executor, NoiseStreamIsPinnedPerPlanKind) {
       {build_smd_plan(smd_shape, kSmall), PlanKind::kSmd,
        12840957270812053274ULL},
   };
+  // The same bits with and without a pool: noise is drawn on the
+  // calling thread either way.
+  ThreadPool pool(4);
   for (const auto& c : cases) {
     ASSERT_EQ(c.plan.kind, c.kind);
     const auto [ifm, weights] = sample_tensors(c.plan.shape, 11);
@@ -205,10 +213,14 @@ TEST(Executor, NoiseStreamIsPinnedPerPlanKind) {
     options.noise.multiplicative_sigma = 0.03;
     options.noise.additive_sigma = 0.02;
     options.noise_seed = 2024;
-    const ExecutionResult result =
-        execute_plan(c.plan, ifm, weights, options);
-    EXPECT_EQ(bits_hash(result.ofm), c.expected)
-        << "plan kind " << static_cast<int>(c.kind);
+    for (ThreadPool* fan_out : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      options.pool = fan_out;
+      const ExecutionResult result =
+          execute_plan(c.plan, ifm, weights, options);
+      EXPECT_EQ(bits_hash(result.ofm), c.expected)
+          << "plan kind " << static_cast<int>(c.kind) << ", "
+          << (fan_out == nullptr ? "no pool" : "4-worker pool");
+    }
   }
 }
 

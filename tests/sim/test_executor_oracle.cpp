@@ -3,7 +3,9 @@
 /// executor and its dense Crossbar: every tile programmed into a full
 /// rows x cols array up front, then one dense matrix-vector product per
 /// computing cycle.  The two must agree bit for bit on the output and on
-/// every count, with and without device noise and ADC quantization.
+/// every count, with and without device noise and ADC quantization.  The
+/// executor must also agree with itself bit for bit with no pool and on
+/// pools of 1, 2 and 4 workers.
 
 #include <gtest/gtest.h>
 
@@ -11,16 +13,19 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "common/math_util.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "core/grouped_conv.h"
 #include "core/mapping_decision.h"
 #include "mapping/plan_builder.h"
 #include "nn/model_zoo.h"
 #include "sim/executor.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/tensor_ops.h"
 #include "../integration/random_draw.h"
 
@@ -266,9 +271,9 @@ std::string describe(const ExecutionOptions& options) {
                                                          : "quantizing");
 }
 
-/// "" when the tile-major executor reproduces the per-cycle one exactly.
-std::string compare_executors(const MappingPlan& plan, std::uint64_t seed,
-                              const ExecutionOptions& options) {
+/// Integer-valued (ifm, weights) for `plan`'s layer, drawn from `seed`.
+std::pair<Tensord, Tensord> random_operands(const MappingPlan& plan,
+                                            std::uint64_t seed) {
   Rng rng(seed);
   Tensord ifm = Tensord::feature_map(plan.shape.in_channels,
                                      plan.shape.ifm_h, plan.shape.ifm_w);
@@ -277,9 +282,14 @@ std::string compare_executors(const MappingPlan& plan, std::uint64_t seed,
                        plan.shape.kernel_h, plan.shape.kernel_w);
   fill_random_int(ifm, rng, 4);
   fill_random_int(weights, rng, 4);
-  const ExecutionResult want =
-      legacy::execute_plan(plan, ifm, weights, options);
-  const ExecutionResult got = execute_plan(plan, ifm, weights, options);
+  return {std::move(ifm), std::move(weights)};
+}
+
+/// "" when `got` and `want` agree bit for bit on the output and on every
+/// count.
+std::string differences(const ExecutionResult& got,
+                        const ExecutionResult& want,
+                        const ExecutionOptions& options) {
   const auto& a = got.ofm.data();
   const auto& b = want.ofm.data();
   if (got.ofm.shape() != want.ofm.shape() ||
@@ -306,6 +316,54 @@ std::string compare_executors(const MappingPlan& plan, std::uint64_t seed,
   return "";
 }
 
+/// "" when the tile-major executor reproduces the per-cycle one exactly.
+std::string compare_executors(const MappingPlan& plan, std::uint64_t seed,
+                              const ExecutionOptions& options) {
+  const auto [ifm, weights] = random_operands(plan, seed);
+  return differences(execute_plan(plan, ifm, weights, options),
+                     legacy::execute_plan(plan, ifm, weights, options),
+                     options);
+}
+
+/// "" when execute_plan gives the same bits and counts on pools of 1, 2
+/// and 4 workers as with no pool.
+std::string compare_pools(const MappingPlan& plan, std::uint64_t seed,
+                          const ExecutionOptions& options) {
+  static ThreadPool one(1);
+  static ThreadPool two(2);
+  static ThreadPool four(4);
+  const auto [ifm, weights] = random_operands(plan, seed);
+  const ExecutionResult want = execute_plan(plan, ifm, weights, options);
+  for (ThreadPool* pool : {&one, &two, &four}) {
+    ExecutionOptions pooled = options;
+    pooled.pool = pool;
+    const std::string diff =
+        differences(execute_plan(plan, ifm, weights, pooled), want, options);
+    if (!diff.empty()) {
+      return cat(pool->size(), "-worker pool: ", diff);
+    }
+  }
+  return "";
+}
+
+/// Whether some tile of `plan` has enough multiply-adds to fan out over
+/// a pool, rather than run on the calling thread.
+bool fans_out(const MappingPlan& plan) {
+  const Count bases =
+      static_cast<Count>(plan.cost.total) /
+      static_cast<Count>(plan.tiles.size());
+  for (const TileLayout& tile : derive_layout(plan).tiles) {
+    Count cells = 0;
+    for (const ColumnGroup& group : tile.groups) {
+      cells += group.cells();
+    }
+    if (cells * bases >= kParallelCutoffMacs) {
+      return true;
+    }
+  }
+  return false;
+}
+
 class RandomExecutorOracle : public ::testing::TestWithParam<std::string> {};
 
 /// 100 executable draws (random_draw.h's small sizes), every option mix.
@@ -323,6 +381,28 @@ TEST_P(RandomExecutorOracle, MatchesPerCycleExecutorOn100RandomDraws) {
           << "draw " << i << ": " << d.context;
     }
   }
+}
+
+/// The same 100 draws, every option mix: no pool and pools of 1, 2 and
+/// 4 workers give the same bits.
+TEST_P(RandomExecutorOracle, PoolSizesAgreeOn100RandomDraws) {
+  Rng rng(0xBEEF);
+  const auto mapper = make_mapper(GetParam());
+  int fanned_out = 0;
+  for (int i = 0; i < 100; ++i) {
+    const RandomDraw d = draw(rng, /*small=*/true);
+    const MappingPlan plan = build_plan_for_cost(
+        d.shape, d.geometry, mapper->map(d.shape, d.geometry).cost);
+    fanned_out += fans_out(plan) ? 1 : 0;
+    for (const ExecutionOptions& options : option_grid()) {
+      EXPECT_EQ(compare_pools(plan, 0x3000u + static_cast<unsigned>(i),
+                              options),
+                "")
+          << "draw " << i << ": " << d.context;
+    }
+  }
+  // Below the cutoff a tile never reaches the pool.
+  EXPECT_GT(fanned_out, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Randomized, RandomExecutorOracle,
@@ -351,7 +431,8 @@ TEST(ExecutorOracle, MatchesPerCycleExecutorOnClampedWindows) {
 // images, stride 1, pad 0) rarely or never reach.  Each asserts the
 // count that proves it reaches its edge.  The kernel's register blocks
 // are 4 or 6 columns of C by 6, 12 or 24 bases, its depth blocks 256
-// rows; the executor gathers up to 96 bases per call.
+// rows; the executor gathers up to 96 bases per call and slices a group
+// into calls of up to 48 columns.
 
 /// The plan `mapper` chooses for `shape` on `geometry`.
 MappingPlan plan_of(const std::string& mapper, const ConvShape& shape,
@@ -371,10 +452,12 @@ Count column_cells(const ConvShape& shape, const ArrayTile& tile,
   return cells;
 }
 
-/// Every option mix agrees with the per-cycle executor on `plan`.
+/// Every option mix agrees with the per-cycle executor on `plan`, and
+/// with itself on any pool.
 void expect_oracle_on_every_option_mix(const MappingPlan& plan) {
   for (const ExecutionOptions& options : option_grid()) {
     EXPECT_EQ(compare_executors(plan, 11, options), "");
+    EXPECT_EQ(compare_pools(plan, 11, options), "");
   }
 }
 
@@ -444,6 +527,39 @@ TEST(ExecutorOracle, PaddedStride2Windows) {
   EXPECT_EQ(plan.base_x.front(), 0);
   EXPECT_LT(plan.base_y.front(), shape.pad_h);
   EXPECT_EQ(plan.base_y.size() * plan.base_x.size(), 15u);
+  expect_oracle_on_every_option_mix(plan);
+}
+
+TEST(ExecutorOracle, OneBaseBlockGroupWiderThanTwoSlices) {
+  // im2col over two AR tiles, each one group of all 100 output channels
+  // at 36 bases: like ResNet-18 conv5, a pool can split such a tile only
+  // by column slices (48, 48 and 4 columns).
+  const MappingPlan plan =
+      plan_of("im2col", ConvShape::square(8, 3, 8, 100), {64, 128});
+  ASSERT_EQ(plan.tiles.size(), 2u);
+  const PlanLayout layout = derive_layout(plan);
+  ASSERT_EQ(layout.tiles[0].groups.size(), 1u);
+  EXPECT_GT(layout.tiles[0].groups[0].cols.size(), 2u * 48u);
+  EXPECT_LE(plan.base_y.size() * plan.base_x.size(), 96u);
+  EXPECT_TRUE(fans_out(plan));
+  expect_oracle_on_every_option_mix(plan);
+}
+
+TEST(ExecutorOracle, GroupsNarrowerThanOneSlice) {
+  // vw-sdk: every group of a tile is one window position's 12 output
+  // channels, narrower than one 48-column slice, at two base blocks.
+  const MappingPlan plan =
+      plan_of("vw-sdk", ConvShape::square(24, 3, 8, 12), {128, 64});
+  ASSERT_EQ(plan.kind, PlanKind::kWindowed);
+  const PlanLayout layout = derive_layout(plan);
+  EXPECT_GT(layout.tiles[0].groups.size(), 1u);
+  for (const TileLayout& tile : layout.tiles) {
+    for (const ColumnGroup& group : tile.groups) {
+      EXPECT_LT(group.cols.size(), 48u);
+    }
+  }
+  EXPECT_GT(plan.base_y.size() * plan.base_x.size(), 96u);
+  EXPECT_TRUE(fans_out(plan));
   expect_oracle_on_every_option_mix(plan);
 }
 
