@@ -745,9 +745,6 @@ int run_mappers(int argc, const char* const* argv) {
       if (info.capabilities.exhaustive) {
         caps.emplace_back("exhaustive");
       }
-      if (!info.capabilities.grouped) {
-        caps.emplace_back("no-grouped");
-      }
       table.add_row({info.name, join(info.aliases, ", "),
                      caps.empty() ? "-" : join(caps, ", "),
                      info.description});

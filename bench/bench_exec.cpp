@@ -8,8 +8,9 @@
 /// Timing methodology: the scalar reference is timed once (it dominates
 /// the bench wall time); the gemm backend takes the best of three runs
 /// so a cold thread pool or scheduler hiccup cannot fail the gate
-/// spuriously.  Parity and thread-count determinism are re-checked here
-/// so the perf baseline also pins correctness.
+/// spuriously.  Each gemm run allocates its own im2col buffer, as every
+/// `verify` does.  Parity and thread-count determinism are re-checked
+/// here so the perf baseline also pins correctness.
 ///
 /// A second section runs the same layer through the crossbar executor
 /// (`execute_plan` on its vw-sdk plan at 512x512): it pins the executed
@@ -40,7 +41,8 @@
 #include "mapping/plan_builder.h"
 #include "mapping/plan_validate.h"
 #include "sim/executor.h"
-#include "tensor/exec_backend.h"
+#include "tensor/conv_ref.h"
+#include "tensor/gemm_backend.h"
 #include "tensor/tensor_ops.h"
 
 namespace {
@@ -95,12 +97,9 @@ double crossbar_vs_reference(vwsdk::bench::JsonReporter& reporter,
   ExecutionResult fanned;
   const double pooled_ms = best_of_3(
       [&] { fanned = execute_plan(plan, ifm, weights, pooled); });
-  const RefBackend& gemm = ref_backend("gemm");
-  ConvWorkspace workspace;
   Tensord reference;
-  const double gemm_ms = best_of_3([&] {
-    reference = gemm.conv2d(ifm, weights, ConvConfig{}, &workspace, nullptr);
-  });
+  const double gemm_ms =
+      best_of_3([&] { reference = conv2d_gemm(ifm, weights); });
   reporter.expect_eq(
       cat(layer, " execute_plan cycles (Table I mapping ", mapping, ")"),
       paper_cycles, executed.cycles);
@@ -140,22 +139,19 @@ int main() {
   fill_random_int(weights, rng, 3);
   const ConvConfig config;  // stride 1, pad 0 (the paper's convention)
 
-  const RefBackend& scalar = ref_backend("scalar");
-  const RefBackend& gemm = ref_backend("gemm");
   // The gemm backend fans out over the caller's pool, sized as the
   // service sizes its own (VWSDK_THREADS, then the hardware).
   ThreadPool pool;
 
   const Clock::time_point scalar_start = Clock::now();
-  const Tensord oracle = scalar.conv2d(ifm, weights, config, nullptr);
+  const Tensord oracle = conv2d_direct(ifm, weights, config);
   const double scalar_ms = ms_since(scalar_start);
 
-  ConvWorkspace workspace;
   double gemm_ms = 0.0;
   Tensord fast;
   for (int run = 0; run < 3; ++run) {
     const Clock::time_point gemm_start = Clock::now();
-    fast = gemm.conv2d(ifm, weights, config, &workspace, &pool);
+    fast = conv2d_gemm(ifm, weights, config, &pool);
     const double ms = ms_since(gemm_start);
     gemm_ms = run == 0 ? ms : std::min(gemm_ms, ms);
   }
@@ -167,8 +163,8 @@ int main() {
   ThreadPool pool_16(16);
   reporter.expect_true(
       "gemm OFM identical across 1 and 16 worker threads",
-      exactly_equal(gemm.conv2d(ifm, weights, config, nullptr, &pool_1),
-                    gemm.conv2d(ifm, weights, config, nullptr, &pool_16)));
+      exactly_equal(conv2d_gemm(ifm, weights, config, &pool_1),
+                    conv2d_gemm(ifm, weights, config, &pool_16)));
 
   reporter.section("Wall-clock speedup");
   reporter.report_value("scalar reference wall ms", scalar_ms);

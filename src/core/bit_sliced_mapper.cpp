@@ -2,7 +2,6 @@
 
 #include "common/error.h"
 #include "common/string_util.h"
-#include "core/mapper_registry.h"
 
 namespace vwsdk {
 
@@ -52,19 +51,5 @@ MappingDecision BitSlicedVwSdkMapper::map(
   decision.score = objective.score(shape, geometry, decision.cost);
   return decision;
 }
-
-namespace detail {
-
-void register_bit_sliced_mapper(MapperRegistry& registry) {
-  registry.add(MapperInfo{
-      "vw-sdk-bitsliced",
-      {"bitsliced"},
-      "Algorithm 1 with bit-slicing-aware costs (default 8-bit config)",
-      MapperCapabilities{},
-      70,
-      []() { return std::make_unique<BitSlicedVwSdkMapper>(); }});
-}
-
-}  // namespace detail
 
 }  // namespace vwsdk

@@ -1,7 +1,5 @@
 #include "core/exhaustive_mapper.h"
 
-#include "core/mapper_registry.h"
-
 namespace vwsdk {
 
 MappingDecision ExhaustiveMapper::map(const MappingContext& context) const {
@@ -34,20 +32,5 @@ MappingDecision ExhaustiveMapper::map(const MappingContext& context) const {
   }
   return decision;
 }
-
-namespace detail {
-
-void register_exhaustive_mapper(MapperRegistry& registry) {
-  registry.add(MapperInfo{
-      "exhaustive",
-      {},
-      "brute-force oracle over every admissible window (global optimum)",
-      MapperCapabilities{/*objective_aware=*/true, /*exhaustive=*/true,
-                         /*grouped=*/true},
-      60,
-      []() { return std::make_unique<ExhaustiveMapper>(); }});
-}
-
-}  // namespace detail
 
 }  // namespace vwsdk

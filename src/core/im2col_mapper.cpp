@@ -1,7 +1,5 @@
 #include "core/im2col_mapper.h"
 
-#include "core/mapper_registry.h"
-
 namespace vwsdk {
 
 MappingDecision Im2colMapper::map(const MappingContext& context) const {
@@ -17,19 +15,5 @@ MappingDecision Im2colMapper::map(const MappingContext& context) const {
       objective.score(context.shape, context.geometry, decision.cost);
   return decision;
 }
-
-namespace detail {
-
-void register_im2col_mapper(MapperRegistry& registry) {
-  registry.add(MapperInfo{
-      "im2col",
-      {},
-      "one kernel window per cycle (ref [4], the paper's baseline)",
-      MapperCapabilities{},
-      10,
-      []() { return std::make_unique<Im2colMapper>(); }});
-}
-
-}  // namespace detail
 
 }  // namespace vwsdk

@@ -1,99 +1,88 @@
 #include "core/mapper_registry.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "common/error.h"
 #include "common/string_util.h"
+#include "core/bit_sliced_mapper.h"
+#include "core/exhaustive_mapper.h"
+#include "core/im2col_mapper.h"
+#include "core/pruned_mapper.h"
+#include "core/sdk_mapper.h"
+#include "core/smd_mapper.h"
+#include "core/vwsdk_mapper.h"
 
 namespace vwsdk {
 
-namespace detail {
-
-// One registration anchor per built-in mapper, defined in the mapper's
-// own .cpp next to its algorithm.  Referencing them here forces the
-// linker to pull every mapper's translation unit out of the static
-// library even when nothing else names its class.
-void register_im2col_mapper(MapperRegistry& registry);
-void register_smd_mapper(MapperRegistry& registry);
-void register_sdk_mapper(MapperRegistry& registry);
-void register_vwsdk_mapper(MapperRegistry& registry);
-void register_pruned_mapper(MapperRegistry& registry);
-void register_exhaustive_mapper(MapperRegistry& registry);
-void register_bit_sliced_mapper(MapperRegistry& registry);
-
-}  // namespace detail
-
-MapperRegistry& MapperRegistry::instance() {
-  // Thread-safe static-local init: the built-ins are registered exactly
-  // once, before any caller (including a MapperRegistrar constructor
-  // running during static init in another translation unit) sees the
-  // registry.
-  static MapperRegistry& registry = []() -> MapperRegistry& {
-    static MapperRegistry built;
-    detail::register_im2col_mapper(built);
-    detail::register_smd_mapper(built);
-    detail::register_sdk_mapper(built);
-    detail::register_vwsdk_mapper(built);
-    detail::register_pruned_mapper(built);
-    detail::register_exhaustive_mapper(built);
-    detail::register_bit_sliced_mapper(built);
-    return built;
-  }();
-  return registry;
-}
-
 namespace {
 
-std::string lookup_key(const std::string& name) {
-  return to_lower(trim(name));
+template <class M>
+std::unique_ptr<Mapper> make() {
+  return std::make_unique<M>();
+}
+
+/// Every mapper, in listing order.  Names and aliases must be stored in
+/// lookup form (lower case, trimmed) and be distinct across the table;
+/// tests/core/test_mapper_registry.cpp pins both.
+const std::vector<MapperInfo>& table() {
+  static const std::vector<MapperInfo> rows{
+      {"im2col",
+       {},
+       "one kernel window per cycle (ref [4], the paper's baseline)",
+       {},
+       &make<Im2colMapper>},
+      {"smd",
+       {},
+       "sub-matrix duplication: block-diagonal im2col copies (ref [6])",
+       {},
+       &make<SmdMapper>},
+      {"sdk",
+       {},
+       "square-window SDK: maximal whole-channel duplication (ref [2])",
+       {},
+       &make<SdkMapper>},
+      {"vw-sdk",
+       {"vwsdk"},
+       "variable-window SDK search, Algorithm 1 (the paper's proposal)",
+       {/*objective_aware=*/true, /*exhaustive=*/false},
+       &make<VwSdkMapper>},
+      {"vw-sdk-pruned",
+       {"pruned"},
+       "Algorithm 1 with exactness-preserving search-space prunes",
+       {/*objective_aware=*/true, /*exhaustive=*/false},
+       &make<PrunedVwSdkMapper>},
+      {"exhaustive",
+       {},
+       "brute-force oracle over every admissible window (global optimum)",
+       {/*objective_aware=*/true, /*exhaustive=*/true},
+       &make<ExhaustiveMapper>},
+      {"vw-sdk-bitsliced",
+       {"bitsliced"},
+       "Algorithm 1 with bit-slicing-aware costs (default 8-bit config)",
+       {},
+       &make<BitSlicedVwSdkMapper>},
+  };
+  return rows;
 }
 
 }  // namespace
 
-void MapperRegistry::add(MapperInfo info) {
-  VWSDK_REQUIRE(!trim(info.name).empty(), "mapper registration needs a name");
-  VWSDK_REQUIRE(info.factory != nullptr,
-                cat("mapper \"", info.name, "\" registered without a factory"));
-  const MutexLock lock(mutex_);
-  std::vector<std::string> keys{lookup_key(info.name)};
-  for (const std::string& alias : info.aliases) {
-    keys.push_back(lookup_key(alias));
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    VWSDK_REQUIRE(!keys[i].empty(),
-                  cat("mapper \"", info.name, "\" has an empty alias"));
-    VWSDK_REQUIRE(lookup_.find(keys[i]) == lookup_.end(),
-                  cat("mapper name \"", keys[i],
-                      "\" is already registered"));
-    // Also reject duplicates within this registration (an alias
-    // repeating the name, or a repeated alias) -- emplace would
-    // silently dedupe and hide the registration bug.
-    for (std::size_t j = 0; j < i; ++j) {
-      VWSDK_REQUIRE(keys[j] != keys[i],
-                    cat("mapper \"", info.name, "\" lists \"", keys[i],
-                        "\" twice"));
-    }
-  }
-  infos_.push_back(std::make_unique<MapperInfo>(std::move(info)));
-  for (const std::string& key : keys) {
-    lookup_.emplace(key, infos_.back().get());
-  }
-}
-
-bool MapperRegistry::contains(const std::string& name) const {
-  const MutexLock lock(mutex_);
-  return lookup_.find(lookup_key(name)) != lookup_.end();
+const MapperRegistry& MapperRegistry::instance() {
+  static const MapperRegistry registry;
+  return registry;
 }
 
 const MapperInfo& MapperRegistry::info(const std::string& name) const {
-  const MutexLock lock(mutex_);
-  const auto it = lookup_.find(lookup_key(name));
-  if (it == lookup_.end()) {
-    throw NotFound(cat("unknown mapper '", name,
-                       "'; known: ", join(names_locked(), ", ")));
+  const std::string key = to_lower(trim(name));
+  for (const MapperInfo& row : table()) {
+    if (key == row.name) {
+      return row;
+    }
+    for (const std::string& alias : row.aliases) {
+      if (key == alias) {
+        return row;
+      }
+    }
   }
-  return *it->second;
+  throw NotFound(cat("unknown mapper '", name, "'; known: ", known_names()));
 }
 
 std::unique_ptr<Mapper> MapperRegistry::create(const std::string& name) const {
@@ -101,40 +90,15 @@ std::unique_ptr<Mapper> MapperRegistry::create(const std::string& name) const {
 }
 
 std::vector<std::string> MapperRegistry::names() const {
-  const MutexLock lock(mutex_);
-  return names_locked();
-}
-
-std::string MapperRegistry::known_names() const {
-  return join(names(), ", ");
-}
-
-Count MapperRegistry::size() const {
-  const MutexLock lock(mutex_);
-  return static_cast<Count>(infos_.size());
-}
-
-std::vector<std::string> MapperRegistry::names_locked() const {
-  std::vector<const MapperInfo*> ordered;
-  ordered.reserve(infos_.size());
-  for (const auto& info : infos_) {
-    ordered.push_back(info.get());
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const MapperInfo* a, const MapperInfo* b) {
-              return a->sort_key != b->sort_key ? a->sort_key < b->sort_key
-                                                : a->name < b->name;
-            });
   std::vector<std::string> names;
-  names.reserve(ordered.size());
-  for (const MapperInfo* info : ordered) {
-    names.push_back(info->name);
+  for (const MapperInfo& row : table()) {
+    names.push_back(row.name);
   }
   return names;
 }
 
-MapperRegistrar::MapperRegistrar(MapperInfo info) {
-  MapperRegistry::instance().add(std::move(info));
+std::string MapperRegistry::known_names() const {
+  return join(names(), ", ");
 }
 
 }  // namespace vwsdk

@@ -65,10 +65,10 @@ class Mapper {
                       const ArrayGeometry& geometry) const;
 };
 
-/// Construct any registered mapper by name or alias (case-insensitive);
+/// Construct any mapper in the table by name or alias (case-insensitive);
 /// throws NotFound listing the known names.  Thin shim over
-/// MapperRegistry::instance() (core/mapper_registry.h), which is the
-/// single source of mapper names.
+/// MapperRegistry::instance() (core/mapper_registry.h), whose constant
+/// table is the single source of mapper names.
 std::unique_ptr<Mapper> make_mapper(const std::string& name);
 
 }  // namespace vwsdk

@@ -1,7 +1,5 @@
 #include "core/pruned_mapper.h"
 
-#include "core/mapper_registry.h"
-
 namespace vwsdk {
 
 MappingDecision PrunedVwSdkMapper::map(const MappingContext& context) const {
@@ -90,20 +88,5 @@ MappingDecision PrunedVwSdkMapper::map_impl(const MappingContext& context,
   }
   return decision;
 }
-
-namespace detail {
-
-void register_pruned_mapper(MapperRegistry& registry) {
-  registry.add(MapperInfo{
-      "vw-sdk-pruned",
-      {"pruned"},
-      "Algorithm 1 with exactness-preserving search-space prunes",
-      MapperCapabilities{/*objective_aware=*/true, /*exhaustive=*/false,
-                         /*grouped=*/true},
-      50,
-      []() { return std::make_unique<PrunedVwSdkMapper>(); }});
-}
-
-}  // namespace detail
 
 }  // namespace vwsdk

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/math_util.h"
-#include "core/mapper_registry.h"
 
 namespace vwsdk {
 
@@ -64,19 +63,5 @@ MappingDecision SdkMapper::map(const MappingContext& context) const {
       objective.score(context.shape, context.geometry, decision.cost);
   return decision;
 }
-
-namespace detail {
-
-void register_sdk_mapper(MapperRegistry& registry) {
-  registry.add(MapperInfo{
-      "sdk",
-      {},
-      "square-window SDK: maximal whole-channel duplication (ref [2])",
-      MapperCapabilities{},
-      30,
-      []() { return std::make_unique<SdkMapper>(); }});
-}
-
-}  // namespace detail
 
 }  // namespace vwsdk

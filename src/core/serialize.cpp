@@ -406,8 +406,7 @@ std::string to_json(const MapperRegistry& registry) {
        << (info.capabilities.objective_aware ? "true" : "false")
        << ",\"exhaustive\":"
        << (info.capabilities.exhaustive ? "true" : "false")
-       << ",\"grouped\":" << (info.capabilities.grouped ? "true" : "false")
-       << "}}";
+       << ",\"grouped\":true}}";
   }
   os << "]}";
   return os.str();

@@ -1,7 +1,5 @@
 #include "core/smd_mapper.h"
 
-#include "core/mapper_registry.h"
-
 namespace vwsdk {
 
 MappingDecision SmdMapper::map(const MappingContext& context) const {
@@ -17,19 +15,5 @@ MappingDecision SmdMapper::map(const MappingContext& context) const {
       objective.score(context.shape, context.geometry, decision.cost);
   return decision;
 }
-
-namespace detail {
-
-void register_smd_mapper(MapperRegistry& registry) {
-  registry.add(MapperInfo{
-      "smd",
-      {},
-      "sub-matrix duplication: block-diagonal im2col copies (ref [6])",
-      MapperCapabilities{},
-      20,
-      []() { return std::make_unique<SmdMapper>(); }});
-}
-
-}  // namespace detail
 
 }  // namespace vwsdk

@@ -1,7 +1,5 @@
 #include "core/vwsdk_mapper.h"
 
-#include "core/mapper_registry.h"
-
 namespace vwsdk {
 
 MappingDecision VwSdkMapper::map(const MappingContext& context) const {
@@ -45,28 +43,5 @@ MappingDecision VwSdkMapper::map(const MappingContext& context) const {
   }
   return decision;
 }
-
-MappingDecision VwSdkMapper::map_traced(const ConvShape& shape,
-                                        const ArrayGeometry& geometry,
-                                        SearchTrace* trace) const {
-  MappingContext context{shape, geometry};
-  context.trace = trace;
-  return map(context);
-}
-
-namespace detail {
-
-void register_vwsdk_mapper(MapperRegistry& registry) {
-  registry.add(MapperInfo{
-      "vw-sdk",
-      {"vwsdk"},
-      "variable-window SDK search, Algorithm 1 (the paper's proposal)",
-      MapperCapabilities{/*objective_aware=*/true, /*exhaustive=*/false,
-                         /*grouped=*/true},
-      40,
-      []() { return std::make_unique<VwSdkMapper>(); }});
-}
-
-}  // namespace detail
 
 }  // namespace vwsdk

@@ -34,12 +34,6 @@ class VwSdkMapper final : public Mapper {
   /// `context.scoring()` in scan order, and every candidate is recorded
   /// into `context.trace` when one is given.
   MappingDecision map(const MappingContext& context) const override;
-
-  /// Compatibility shim: as the two-argument map(), recording every
-  /// candidate into `trace` (pass nullptr to skip recording).
-  MappingDecision map_traced(const ConvShape& shape,
-                             const ArrayGeometry& geometry,
-                             SearchTrace* trace) const;
 };
 
 }  // namespace vwsdk

@@ -21,6 +21,7 @@
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/string_util.h"
+#include "core/mapper_registry.h"
 #include "core/serialize.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
@@ -187,7 +188,7 @@ std::string execute_request(ServiceApi& api, const ServeRequest& request) {
         payload = to_json(api.verify(request.verify));
         break;
       case ServeOp::kMappers:
-        payload = to_json(api.mappers());
+        payload = to_json(MapperRegistry::instance());
         break;
       case ServeOp::kStats:
         payload = to_json(api.stats());

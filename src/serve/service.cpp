@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/string_util.h"
+#include "core/mapper_registry.h"
 #include "mapping/objective.h"
 #include "nn/network_spec.h"
 #include "pim/array_geometry.h"
@@ -228,10 +229,6 @@ NetworkVerifyResult ServiceApi::verify(const VerifyQuery& query) {
   options.pool = &pool_;
   return verify_network(spec.network, *mapper, geometry, query.seed,
                         options);
-}
-
-const MapperRegistry& ServiceApi::mappers() const {
-  return MapperRegistry::instance();
 }
 
 ServiceStats ServiceApi::stats() const {

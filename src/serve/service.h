@@ -4,7 +4,8 @@
 /// The ServiceApi facade: one resident mapping service -- a shared
 /// ThreadPool plus a single-flight MappingCache -- answering the
 /// request shapes every user surface speaks: `map`, `compare`, `chip`,
-/// `verify`, `mappers`, `stats`.
+/// `verify`, `stats`.  (The `mappers` listing needs no service: it is
+/// the constant table of core/mapper_registry.h.)
 ///
 /// Both front doors are thin shells over this class: the one-shot
 /// `vwsdk` CLI subcommands build a query from flags and serialize the
@@ -28,7 +29,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "core/mapper_registry.h"
 #include "core/mapping_cache.h"
 #include "core/network_optimizer.h"
 #include "sim/chip_allocator.h"
@@ -171,9 +171,6 @@ class ServiceApi {
   /// against the query's reference backend.  Mismatches are reported in
   /// the result, never thrown.
   NetworkVerifyResult verify(const VerifyQuery& query);
-
-  /// The registry behind `mappers` listings.
-  const MapperRegistry& mappers() const;
 
   /// Counters of the shared cache and pool.
   ServiceStats stats() const;

@@ -3,6 +3,8 @@
 #include "common/string_util.h"
 #include "core/grouped_conv.h"
 #include "mapping/plan_builder.h"
+#include "tensor/conv_ref.h"
+#include "tensor/gemm_backend.h"
 #include "tensor/tensor_ops.h"
 
 namespace vwsdk {
@@ -15,9 +17,10 @@ Tensord reference_convolution(const MappingPlan& plan, const Tensord& ifm,
   config.stride_h = plan.shape.stride_h;
   config.pad_w = plan.shape.pad_w;
   config.pad_h = plan.shape.pad_h;
-  const RefBackend& backend =
-      ref_backend(resolve_ref_backend(options.ref_backend));
-  return backend.conv2d(ifm, weights, config, nullptr, options.pool);
+  if (resolve_ref_backend(options.ref_backend) == "scalar") {
+    return conv2d_direct(ifm, weights, config);
+  }
+  return conv2d_gemm(ifm, weights, config, options.pool);
 }
 
 VerificationReport verify_execution(const MappingPlan& plan,

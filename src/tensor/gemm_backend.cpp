@@ -1,6 +1,7 @@
 #include "tensor/gemm_backend.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/error.h"
 #include "common/math_util.h"
@@ -81,10 +82,8 @@ const GemmKernel& gemm_kernel() {
   return chosen;
 }
 
-Tensord GemmBackend::conv2d(const Tensord& ifm, const Tensord& weights,
-                            const ConvConfig& config,
-                            ConvWorkspace* workspace,
-                            ThreadPool* pool) const {
+Tensord conv2d_gemm(const Tensord& ifm, const Tensord& weights,
+                    const ConvConfig& config, ThreadPool* pool) {
   const Shape4& in = ifm.shape();
   const Shape4& w = weights.shape();
   VWSDK_REQUIRE(in.d0 == 1, "gemm backend expects batch 1");
@@ -98,10 +97,9 @@ Tensord GemmBackend::conv2d(const Tensord& ifm, const Tensord& weights,
   const Count rows = static_cast<Count>(in.d1) * kh * kw;  // kernel volume
   const Count cols = static_cast<Count>(oh) * ow;          // windows
 
-  ConvWorkspace local;
-  ConvWorkspace& scratch = workspace != nullptr ? *workspace : local;
-  scratch.columns.resize(static_cast<std::size_t>(rows * cols));
-  double* columns = scratch.columns.data();
+  // The lowered im2col matrix, kernel_volume x windows, row-major.
+  std::vector<double> lowered(static_cast<std::size_t>(rows * cols));
+  double* columns = lowered.data();
 
   Tensord ofm = Tensord::feature_map(oc, oh, ow);
   // The weight tensor's raw storage (OC, IC, KH, KW row-major) is

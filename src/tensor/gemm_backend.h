@@ -1,8 +1,8 @@
 #pragma once
 
 /// @file gemm_backend.h
-/// The fast reference-convolution backend: blocked im2col +
-/// register-blocked GEMM.
+/// The fast reference convolution (the `gemm` backend of
+/// tensor/exec_backend.h): blocked im2col + register-blocked GEMM.
 ///
 /// This is the software analogue of the paper's im2col framing (§II-A)
 /// turned into an execution engine: the input feature map is lowered
@@ -16,7 +16,8 @@
 /// chosen once per process, and no flag or environment variable
 /// selects it.  Each unit of work is one column stripe of one row
 /// block of the output, whose slice of the im2col matrix is packed
-/// into a panel of at most 48 KiB.
+/// into a panel of at most 48 KiB.  The im2col matrix is allocated
+/// per call.
 ///
 /// Determinism contract (what lets `gemm` replace the scalar oracle on
 /// the verification paths): each output element sums in ascending k on
@@ -29,17 +30,24 @@
 /// tests/tensor/test_exec_backend.cpp and
 /// tests/tensor/test_gemm_kernel.cpp, and gated by bench_exec.
 
-#include "tensor/exec_backend.h"
+#include "tensor/conv_ref.h"
+#include "tensor/tensor.h"
 
 namespace vwsdk {
 
-/// Blocked im2col + register-blocked GEMM convolution, fanned out over
-/// the pool the caller passes (nullptr runs it on the calling thread).
-class GemmBackend : public RefBackend {
- public:
-  Tensord conv2d(const Tensord& ifm, const Tensord& weights,
-                 const ConvConfig& config, ConvWorkspace* workspace,
-                 ThreadPool* pool) const override;
-};
+class ThreadPool;
+
+/// The convolution conv2d_direct computes, same shapes, as blocked
+/// im2col + register-blocked GEMM.
+///
+/// @param ifm      feature map, shape (1, IC, H, W).
+/// @param weights  kernel bank, shape (OC, IC, KH, KW).
+/// @param config   stride / padding.
+/// @param pool     pool to fan the work out over, borrowed; nullptr
+///                 runs it on the calling thread.
+/// @return         feature map, shape (1, OC, OH, OW).
+Tensord conv2d_gemm(const Tensord& ifm, const Tensord& weights,
+                    const ConvConfig& config = ConvConfig(),
+                    ThreadPool* pool = nullptr);
 
 }  // namespace vwsdk

@@ -1,45 +1,24 @@
 #include "core/mapper_registry.h"
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.h"
-#include "core/im2col_mapper.h"
+#include "common/string_util.h"
 
 namespace vwsdk {
 namespace {
 
-/// A trivial out-of-library mapper, self-registered the way a plugin or
-/// experiment would do it: a static MapperRegistrar in its own
-/// translation unit.
-class ToyMapper final : public Mapper {
- public:
-  using Mapper::map;
-  std::string name() const override { return "toy"; }
-  MappingDecision map(const MappingContext& context) const override {
-    return Im2colMapper().map(context);
-  }
-};
-
-const MapperRegistrar kToyRegistrar{MapperInfo{
-    "toy",
-    {"toy-alias"},
-    "test-only mapper (im2col in disguise)",
-    MapperCapabilities{},
-    9000,
-    []() { return std::make_unique<ToyMapper>(); }}};
-
 TEST(MapperRegistry, BuiltinsRegisteredInPaperOrder) {
-  const std::vector<std::string> names = MapperRegistry::instance().names();
-  // The built-ins lead in the paper's order; externals (like the toy
-  // above) sort after them.
+  // The paper's baselines, its proposal, then this repo's extensions.
   const std::vector<std::string> builtins{
       "im2col", "smd",        "sdk",
       "vw-sdk", "vw-sdk-pruned", "exhaustive",
       "vw-sdk-bitsliced"};
-  ASSERT_GE(names.size(), builtins.size());
-  for (std::size_t i = 0; i < builtins.size(); ++i) {
-    EXPECT_EQ(names[i], builtins[i]);
-  }
+  EXPECT_EQ(MapperRegistry::instance().names(), builtins);
 }
 
 TEST(MapperRegistry, CreateResolvesNamesAndAliasesCaseInsensitively) {
@@ -73,40 +52,28 @@ TEST(MapperRegistry, CapabilitiesDescribeTheAlgorithms) {
   EXPECT_TRUE(registry.info("vw-sdk-pruned").capabilities.objective_aware);
 }
 
-TEST(MapperRegistry, SelfRegistrationViaRegistrar) {
+// The invariants the table must hold by construction: every name and
+// alias is non-empty, already in lookup form (lower case, trimmed) and
+// distinct across the whole table, and each row's factory builds the
+// mapper the row names.
+TEST(MapperRegistry, TableRowsAreDistinctAndMatchTheirMappers) {
   const MapperRegistry& registry = MapperRegistry::instance();
-  ASSERT_TRUE(registry.contains("toy"));
-  EXPECT_TRUE(registry.contains("toy-alias"));
-  EXPECT_EQ(registry.create("toy-alias")->name(), "toy");
-  // known_names() carries it after the built-ins (sort_key 9000).
-  const std::string known = registry.known_names();
-  EXPECT_NE(known.find("toy"), std::string::npos);
-  EXPECT_LT(known.find("im2col"), known.find("toy"));
-}
-
-TEST(MapperRegistry, LocalRegistryRejectsDuplicatesAndBadInfo) {
-  MapperRegistry registry;
-  const auto info = [](const std::string& name,
-                       const std::vector<std::string>& aliases) {
-    return MapperInfo{name, aliases, "d", MapperCapabilities{}, 0,
-                      []() { return std::make_unique<ToyMapper>(); }};
-  };
-  registry.add(info("a", {"b"}));
-  EXPECT_EQ(registry.size(), 1);
-  EXPECT_THROW(registry.add(info("a", {})), InvalidArgument);   // name taken
-  EXPECT_THROW(registry.add(info("B", {})), InvalidArgument);   // alias taken
-  EXPECT_THROW(registry.add(info("", {})), InvalidArgument);    // no name
-  EXPECT_THROW(registry.add(info("c", {"c"})), InvalidArgument);  // self-dup
-  EXPECT_THROW(registry.add(info("d", {"e", "E"})),
-               InvalidArgument);  // repeated alias
-  EXPECT_THROW(registry.add(MapperInfo{"c", {}, "d",
-                                       MapperCapabilities{}, 0, nullptr}),
-               InvalidArgument);                                // no factory
-  EXPECT_EQ(registry.size(), 1);
+  std::set<std::string> keys;
+  for (const std::string& name : registry.names()) {
+    const MapperInfo& row = registry.info(name);
+    EXPECT_EQ(row.name, name);
+    std::vector<std::string> row_keys{row.name};
+    row_keys.insert(row_keys.end(), row.aliases.begin(), row.aliases.end());
+    for (const std::string& key : row_keys) {
+      EXPECT_FALSE(key.empty()) << row.name;
+      EXPECT_EQ(key, to_lower(trim(key))) << row.name;
+      EXPECT_TRUE(keys.insert(key).second) << "\"" << key << "\" twice";
+    }
+    EXPECT_EQ(registry.create(row.name)->name(), row.name);
+  }
 }
 
 TEST(MapperRegistry, MakeMapperIsARegistryShim) {
-  EXPECT_EQ(make_mapper("toy")->name(), "toy");
   EXPECT_EQ(make_mapper("vw-sdk")->name(), "vw-sdk");
   EXPECT_THROW(make_mapper("frobnicate"), NotFound);
 }

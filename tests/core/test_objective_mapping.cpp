@@ -61,8 +61,11 @@ TEST(ObjectiveMapping, TraceIdenticalUnderExplicitCyclesObjective) {
   const VwSdkMapper mapper;
   const ConvShape conv5 = ConvShape::square(56, 3, 128, 256);
 
+  // The default context (no objective set) scores by cycles.
   SearchTrace legacy;
-  (void)mapper.map_traced(conv5, k512x512, &legacy);
+  MappingContext plain{conv5, k512x512};
+  plain.trace = &legacy;
+  (void)mapper.map(plain);
 
   SearchTrace scored;
   MappingContext context = context_for(conv5, k512x512, cycles_objective());

@@ -49,8 +49,9 @@ TEST(VwSdkMapper, TraceRecordsFullScan) {
   const VwSdkMapper mapper;
   const ConvShape small = ConvShape::square(8, 3, 4, 6);
   SearchTrace trace;
-  const MappingDecision decision =
-      mapper.map_traced(small, {64, 32}, &trace);
+  MappingContext context{small, {64, 32}};
+  context.trace = &trace;
+  const MappingDecision decision = mapper.map(context);
   // Scan is (8-3+1)^2 - 1 = 35 candidates for an 8x8 IFM with 3x3 kernel.
   EXPECT_EQ(trace.candidates_visited(), 35);
   EXPECT_GT(trace.feasible_count(), 0);
@@ -66,7 +67,9 @@ TEST(VwSdkMapper, TraceScanOrderIsWidthInnerHeightOuter) {
   const VwSdkMapper mapper;
   const ConvShape small = ConvShape::square(5, 3, 1, 1);
   SearchTrace trace;
-  mapper.map_traced(small, {64, 32}, &trace);
+  MappingContext context{small, {64, 32}};
+  context.trace = &trace;
+  (void)mapper.map(context);
   // Candidates for a 5x5 IFM: (w,h) in {3,4,5}^2 minus (3,3):
   // order: (4,3), (5,3), (3,4), (4,4), (5,4), (3,5), (4,5), (5,5).
   ASSERT_EQ(trace.candidates_visited(), 8);
@@ -101,8 +104,9 @@ TEST(VwSdkMapper, StrideExtensionScansOnlyAdmissibleWindows) {
   strided.stride_h = 2;
   SearchTrace trace;
   const VwSdkMapper mapper;
-  const MappingDecision decision =
-      mapper.map_traced(strided, {64, 32}, &trace);
+  MappingContext context{strided, {64, 32}};
+  context.trace = &trace;
+  const MappingDecision decision = mapper.map(context);
   for (const SearchStep& step : trace.steps()) {
     EXPECT_EQ((step.window.w - 3) % 2, 0);
     EXPECT_EQ((step.window.h - 3) % 2, 0);

@@ -40,7 +40,9 @@ TEST(VwSdkSmoke, Vgg13Conv5FirstMinimumPicks4x3) {
 TEST(VwSdkSmoke, Vgg13Conv5ScanVisits4x3Before4x4) {
   const VwSdkMapper mapper;
   SearchTrace trace;
-  mapper.map_traced(vgg13_conv5(), k512x512, &trace);
+  MappingContext context{vgg13_conv5(), k512x512};
+  context.trace = &trace;
+  (void)mapper.map(context);
   std::ptrdiff_t seen_4x3 = -1;
   std::ptrdiff_t seen_4x4 = -1;
   const auto& steps = trace.steps();

@@ -45,21 +45,20 @@ class EnvGuard {
 TEST(BackendTable, BuiltinsResolveByNameAndAlias) {
   // The oracle lists first, the fast default second.
   EXPECT_EQ(ref_backend_names(), "scalar, gemm");
-  const RefBackend& scalar = ref_backend("scalar");
-  const RefBackend& gemm = ref_backend("gemm");
-  EXPECT_NE(&scalar, &gemm);
-  // Aliases and case-insensitive, trimmed lookup reach the same shared
-  // instance.
-  EXPECT_EQ(&ref_backend("direct"), &scalar);
-  EXPECT_EQ(&ref_backend("im2col-gemm"), &gemm);
-  EXPECT_EQ(&ref_backend("  GEMM "), &gemm);
-  EXPECT_EQ(&ref_backend("DIRECT"), &scalar);
+  EXPECT_EQ(resolve_ref_backend("scalar"), "scalar");
+  EXPECT_EQ(resolve_ref_backend("gemm"), "gemm");
+  // Aliases and case-insensitive, trimmed lookup reach the canonical
+  // name.
+  EXPECT_EQ(resolve_ref_backend("direct"), "scalar");
+  EXPECT_EQ(resolve_ref_backend("im2col-gemm"), "gemm");
+  EXPECT_EQ(resolve_ref_backend("  GEMM "), "gemm");
+  EXPECT_EQ(resolve_ref_backend(" IM2COL-GEMM "), "gemm");
   EXPECT_EQ(resolve_ref_backend("DIRECT"), "scalar");
 }
 
 TEST(BackendTable, UnknownNameThrowsListingKnown) {
   try {
-    (void)ref_backend("no-such-backend");
+    (void)resolve_ref_backend("no-such-backend");
     FAIL() << "expected NotFound";
   } catch (const NotFound& e) {
     EXPECT_EQ(std::string(e.what()),
@@ -101,15 +100,14 @@ struct ParityCase {
   }
 };
 
-void expect_parity(const ParityCase& c, const RefBackend& gemm,
-                   ConvWorkspace* workspace, std::uint64_t seed) {
+void expect_parity(const ParityCase& c, std::uint64_t seed) {
   Rng rng(seed);
   Tensord ifm = Tensord::feature_map(c.ic, c.ih, c.iw);
   Tensord weights = Tensord::weights(c.oc, c.ic, c.kh, c.kw);
   fill_random_int(ifm, rng, 3);
   fill_random_int(weights, rng, 3);
   const Tensord oracle = conv2d_direct(ifm, weights, c.config);
-  const Tensord fast = gemm.conv2d(ifm, weights, c.config, workspace);
+  const Tensord fast = conv2d_gemm(ifm, weights, c.config);
   EXPECT_TRUE(exactly_equal(oracle, fast)) << c.label();
 }
 
@@ -137,8 +135,6 @@ ParityCase capped_case(const ConvLayerDesc& layer) {
 // depthwise layers included, which is exactly the shape population the
 // verification paths run.
 TEST(BackendParity, EveryZooLayerShape) {
-  const RefBackend& gemm = ref_backend("gemm");
-  ConvWorkspace workspace;  // shared across cases
   std::set<std::string> seen;
   std::uint64_t seed = 100;
   for (const std::string& model : model_names()) {
@@ -148,17 +144,14 @@ TEST(BackendParity, EveryZooLayerShape) {
       if (!seen.insert(c.label()).second) {
         continue;  // networks share layer shapes; test each once
       }
-      expect_parity(c, gemm, &workspace, seed++);
+      expect_parity(c, seed++);
     }
   }
   EXPECT_GE(seen.size(), 10u);
 }
 
-// The stride/pad/kernel sandwich the zoo does not cover, workspace
-// shared across wildly different shapes to prove resize correctness.
+// The stride/pad/kernel sandwich the zoo does not cover.
 TEST(BackendParity, StridePadKernelSandwich) {
-  const RefBackend& gemm = ref_backend("gemm");
-  ConvWorkspace workspace;
   std::uint64_t seed = 500;
   for (const Dim kernel : {1, 3, 5}) {
     for (const Dim stride : {1, 2, 3}) {
@@ -174,7 +167,7 @@ TEST(BackendParity, StridePadKernelSandwich) {
         c.config.stride_w = stride;
         c.config.pad_h = pad;
         c.config.pad_w = pad;
-        expect_parity(c, gemm, &workspace, seed++);
+        expect_parity(c, seed++);
       }
     }
   }
@@ -190,7 +183,7 @@ TEST(BackendParity, StridePadKernelSandwich) {
   c.config.stride_w = 1;
   c.config.pad_h = 0;
   c.config.pad_w = 2;
-  expect_parity(c, gemm, &workspace, seed);
+  expect_parity(c, seed);
 }
 
 /// Group `g` of a tensor whose groups are contiguous `shape`-sized
@@ -213,11 +206,9 @@ void write_group_block(Tensord& tensor, const Tensord& block, Dim g) {
 }
 
 // Grouped execution one group at a time: slice each group's channels,
-// convolve through both backends (gemm reusing one workspace across
-// groups), scatter into the layer OFM, compare layer-level.
+// convolve through both backends, scatter into the layer OFM, compare
+// layer-level.
 TEST(BackendParity, GroupedAndDepthwiseSlices) {
-  const RefBackend& gemm = ref_backend("gemm");
-  ConvWorkspace workspace;
   std::uint64_t seed = 900;
   for (const Dim groups : {2, 4, 8}) {  // 8 groups of 1 ic = depthwise
     const Dim ic = 8, oc = 8, image = 9, kernel = 3;
@@ -237,10 +228,7 @@ TEST(BackendParity, GroupedAndDepthwiseSlices) {
           weights, Shape4{group_oc, group_ic, kernel, kernel}, g);
       write_group_block(via_scalar, conv2d_direct(group_ifm, group_weights),
                         g);
-      write_group_block(via_gemm,
-                        gemm.conv2d(group_ifm, group_weights, ConvConfig{},
-                                    &workspace),
-                        g);
+      write_group_block(via_gemm, conv2d_gemm(group_ifm, group_weights), g);
     }
     EXPECT_TRUE(exactly_equal(via_scalar, via_gemm))
         << groups << " groups";
@@ -259,17 +247,15 @@ TEST(GemmBackend, DeterministicAcrossThreadCounts) {
   fill_random_int(weights, rng, 3);
   const ConvConfig config;
 
-  const GemmBackend gemm;
   ThreadPool one(1);
   ThreadPool four(4);
   ThreadPool sixteen(16);
   EXPECT_EQ(one.size(), 1);
   EXPECT_EQ(four.size(), 4);
   EXPECT_EQ(sixteen.size(), 16);
-  const Tensord base = gemm.conv2d(ifm, weights, config, nullptr, nullptr);
+  const Tensord base = conv2d_gemm(ifm, weights, config, nullptr);
   for (ThreadPool* pool : {&one, &four, &sixteen}) {
-    EXPECT_TRUE(exactly_equal(
-        base, gemm.conv2d(ifm, weights, config, nullptr, pool)))
+    EXPECT_TRUE(exactly_equal(base, conv2d_gemm(ifm, weights, config, pool)))
         << pool->size() << " worker(s)";
   }
   // ...and identical to the oracle, threads notwithstanding.
@@ -329,16 +315,15 @@ TEST(GemmBackend, NonIntegerSumsAscendInKForAnyPool) {
   config.pad_w = 1;
   const Tensord expected = ascending_k_conv(ifm, weights, config);
 
-  const GemmBackend gemm;
   ThreadPool one(1);
   ThreadPool four(4);
   ThreadPool sixteen(16);
-  EXPECT_TRUE(exactly_equal(
-      expected, gemm.conv2d(ifm, weights, config, nullptr, nullptr)))
+  EXPECT_TRUE(
+      exactly_equal(expected, conv2d_gemm(ifm, weights, config, nullptr)))
       << "no pool";
   for (ThreadPool* pool : {&one, &four, &sixteen}) {
-    EXPECT_TRUE(exactly_equal(
-        expected, gemm.conv2d(ifm, weights, config, nullptr, pool)))
+    EXPECT_TRUE(
+        exactly_equal(expected, conv2d_gemm(ifm, weights, config, pool)))
         << pool->size() << " worker(s)";
   }
 }

@@ -4,8 +4,7 @@
 
 #include "common/error.h"
 #include "common/random.h"
-#include "common/string_util.h"
-#include "tensor/exec_backend.h"
+#include "tensor/gemm_backend.h"
 #include "tensor/tensor_ops.h"
 
 namespace vwsdk {
@@ -44,13 +43,9 @@ TEST_P(Im2colEquivalence, AgreesWithDirect) {
   config.pad_w = c.pad;
   config.pad_h = c.pad;
   const Tensord direct = conv2d_direct(ifm, w, config);
-  // Every execution backend must agree bitwise on the same integer
-  // tensors -- the backend table's core contract.
-  for (const std::string& name : split(ref_backend_names(), ',')) {
-    EXPECT_TRUE(exactly_equal(
-        direct, ref_backend(name).conv2d(ifm, w, config, nullptr)))
-        << "backend " << name;
-  }
+  // The gemm backend must agree bitwise with the direct oracle on the
+  // same integer tensors -- the backend table's core contract.
+  EXPECT_TRUE(exactly_equal(direct, conv2d_gemm(ifm, w, config)));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -39,7 +39,7 @@ from pathlib import Path
 ALLOWED = {
     "core/search_trace.cpp":
         "SearchTrace is pinned by the north star and is reached only "
-        "through VwSdkMapper::map_traced, which the CLI does not call",
+        "through MappingContext::trace, which the CLI never sets",
 }
 
 # nm symbol types that are defined, global and not weak.

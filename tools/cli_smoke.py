@@ -17,9 +17,11 @@
   changes a VGG-13 window choice vs. the default cycles search);
 * `verify` functionally verifies mapped layers on the crossbar
   simulator, with byte-identical reports under the `scalar` and `gemm`
-  execution backends and usage errors for unknown `--ref-backend`s;
-* `mappers` lists the registry, and unknown mappers/objectives are
-  usage errors naming the known sets.
+  execution backends and their aliases (`direct`, `im2col-gemm`) and
+  usage errors for unknown `--ref-backend`s;
+* `mappers` lists the registry, a mapper alias (`vwsdk`) maps exactly
+  as its canonical name, and unknown mappers/objectives are usage
+  errors naming the known sets.
 
 With `--serve` the script instead drives the `vwsdk serve` daemon
 (ctest `cli.serve_smoke`): a scripted NDJSON session covering every op
@@ -449,6 +451,13 @@ def main() -> int:
         and "vw-sdk" in unknown_mapper.stderr,
         "unknown --mapper exits 2 listing the registry names",
     )
+    by_name = cli.run("map", "--net", "vgg13", "--mapper", "vw-sdk")
+    by_mapper_alias = cli.run("map", "--net", "vgg13", "--mapper", "vwsdk")
+    check(
+        by_name.returncode == 0 and by_mapper_alias.returncode == 0
+        and by_mapper_alias.stdout == by_name.stdout,
+        "--mapper vwsdk is an exact alias for vw-sdk",
+    )
 
     # --- zoo listing ----------------------------------------------------
     zoo = cli.run("zoo")
@@ -700,6 +709,19 @@ def main() -> int:
         and by_scalar.stdout.replace("backend: scalar", "backend: gemm")
         == by_gemm.stdout,
         "verify reports are identical under the scalar and gemm backends",
+    )
+    by_direct = cli.run("verify", "--net", "lenet5", "--array", "64x64",
+                        "--ref-backend", "direct")
+    check(
+        by_direct.returncode == 0 and by_direct.stdout == by_scalar.stdout,
+        "--ref-backend direct is an exact alias for scalar",
+    )
+    by_gemm_alias = cli.run("verify", "--net", "lenet5", "--array", "64x64",
+                            "--ref-backend", " IM2COL-GEMM ")
+    check(
+        by_gemm_alias.returncode == 0
+        and by_gemm_alias.stdout == by_gemm.stdout,
+        "--ref-backend ' IM2COL-GEMM ' is an exact alias for gemm",
     )
     grouped_verify = cli.run("verify", "--net", str(custom),
                              "--array", "128x128")

@@ -2,7 +2,7 @@
 """Repo-invariant lint: the static checks the compiler cannot express.
 
 Registered as the ctest ``lint.invariants`` (label "lint"), mirroring
-tools/check_doc_comments.py.  Twelve rules, each enforcing a contract the
+tools/check_doc_comments.py.  Eleven rules, each enforcing a contract the
 codebase documents elsewhere:
 
   determinism      no nondeterminism sources (std::rand, time(),
@@ -26,11 +26,6 @@ codebase documents elsewhere:
   error-codes      the wire names returned by error_code_name() in
                    src/common/error.cpp match the error-code table in
                    docs/SERVE.md exactly (both directions).
-  registry-hygiene every mapper .cpp registers itself exactly
-                   once, and the linker-anchor bootstrap in the registry
-                   .cpp declares and calls each anchor exactly once --
-                   a silently dropped registration is invisible at
-                   compile time and only fails at a distant call site.
   doc-links        every docs/*.md page is linked from README.md or
                    another docs page -- an orphaned page silently rots.
   ceil-div         no hand-rolled `(a + b - 1) / b` ceiling divisions in
@@ -335,88 +330,6 @@ def rule_error_codes(tree: dict[str, str]) -> list[Failure]:
     for name in sorted(in_docs - in_code):
         failures.append(f"{SERVE_MD}:1: documented error code '{name}' is "
                         f"not a wire name error_code_name() returns")
-    return failures
-
-
-# --------------------------------------------------------------------------
-# Rule: registry-hygiene
-# --------------------------------------------------------------------------
-
-REGISTRIES = [
-    # (bootstrap file, registrar-fn pattern, files that must self-register)
-    ("src/core/mapper_registry.cpp", r"register_\w+_mapper",
-     r"src/core/\w+_mapper\.cpp"),
-]
-
-
-def rule_registry_hygiene(tree: dict[str, str]) -> list[Failure]:
-    """Each mapper translation unit calls registry.add exactly
-    once inside exactly one register_* anchor, and the bootstrap
-    declares + calls every anchor exactly once (the linker anchor is
-    what keeps a static-library registration from being dropped)."""
-    failures = []
-    for bootstrap_path, anchor_pat, unit_pat in REGISTRIES:
-        bootstrap = tree.get(bootstrap_path)
-        if bootstrap is None:
-            failures.append(f"{bootstrap_path}:1: file missing "
-                            "(registry-hygiene rule)")
-            continue
-        bcode = strip_comments(bootstrap)
-
-        declared = [m.group(1) for m in find_all(
-            rf"void\s+({anchor_pat})\s*\([^)]*\)\s*;", bcode)]
-        called = [m.group(1) for m in find_all(
-            rf"(?:detail::)?({anchor_pat})\s*\(\s*(?:built|registry)\s*\)",
-            bcode)]
-        for anchor in declared:
-            if called.count(anchor) != 1:
-                failures.append(
-                    f"{bootstrap_path}:1: anchor '{anchor}' is declared but "
-                    f"called {called.count(anchor)} times in the bootstrap "
-                    "(must be exactly once)")
-        for anchor in called:
-            if anchor not in declared:
-                failures.append(
-                    f"{bootstrap_path}:1: bootstrap calls '{anchor}' "
-                    "without a forward declaration anchor")
-
-        defined: dict[str, str] = {}
-        for path, text in sorted(tree.items()):
-            if not re.fullmatch(unit_pat, path) and path != bootstrap_path:
-                continue
-            code = strip_comments(text)
-            definitions = [m.group(1) for m in find_all(
-                rf"void\s+({anchor_pat})\s*\([^)]*\)\s*{{", code)]
-            adds = len(find_all(r"\bregistry\s*\.\s*add\s*\(", code))
-            if path != bootstrap_path and not definitions:
-                failures.append(
-                    f"{path}:1: defines no register_* anchor -- the "
-                    "registry bootstrap cannot pull this unit from the "
-                    "static library")
-                continue
-            if adds != len(definitions):
-                failures.append(
-                    f"{path}:1: {adds} registry.add call(s) across "
-                    f"{len(definitions)} register_* definition(s) -- each "
-                    "anchor must register exactly once")
-            for name in definitions:
-                if name in defined:
-                    failures.append(
-                        f"{path}:1: anchor '{name}' is defined here and in "
-                        f"{defined[name]} -- duplicate registration")
-                defined[name] = path
-
-        for anchor in declared:
-            if anchor not in defined:
-                failures.append(
-                    f"{bootstrap_path}:1: anchor '{anchor}' has no "
-                    "definition in any registered translation unit")
-        for anchor, path in sorted(defined.items()):
-            if path != bootstrap_path and anchor not in declared:
-                failures.append(
-                    f"{path}:1: anchor '{anchor}' is defined but the "
-                    "bootstrap never declares/calls it -- the linker may "
-                    "silently drop this registration")
     return failures
 
 
@@ -767,32 +680,6 @@ int run() { struct sigaction a; a.sa_handler = handle_signal; return 0; }
                    ' return "zombie_code"; }',
         SERVE_MD: "| `runtime` | boom | 1 |",
     }),
-    ("registry-hygiene", rule_registry_hygiene, {
-        "src/core/mapper_registry.cpp": """
-void register_good_mapper(MapperRegistry& registry);
-void bootstrap() { register_good_mapper(built); }
-""",
-        # registers twice inside one anchor
-        "src/core/good_mapper.cpp": """
-void register_good_mapper(MapperRegistry& registry) {
-  registry.add(a);
-  registry.add(b);
-}
-""",
-    }),
-    ("registry-hygiene", rule_registry_hygiene, {
-        "src/core/mapper_registry.cpp": """
-void register_good_mapper(MapperRegistry& registry);
-void bootstrap() { register_good_mapper(built); }
-""",
-        "src/core/good_mapper.cpp": """
-void register_good_mapper(MapperRegistry& registry) { registry.add(a); }
-""",
-        # orphan: defined, never anchored -> linker may drop it
-        "src/core/orphan_mapper.cpp": """
-void register_orphan_mapper(MapperRegistry& registry) { registry.add(a); }
-""",
-    }),
     ("doc-links", rule_doc_links, {
         "README.md": "see docs/CLI.md",
         "docs/CLI.md": "the CLI",
@@ -981,7 +868,6 @@ RULES = [
     ("signal-safety", rule_signal_safety),
     ("mutex-annotations", rule_mutex_annotations),
     ("error-codes", rule_error_codes),
-    ("registry-hygiene", rule_registry_hygiene),
     ("doc-links", rule_doc_links),
     ("ceil-div", rule_ceil_div),
     ("nolint-discipline", rule_nolint_discipline),
