@@ -34,19 +34,17 @@ MappingDecision MappingCache::get_or_compute(
   std::shared_future<MappingDecision> future;
   // Lazily constructed so the hit path never allocates promise state.
   std::optional<std::promise<MappingDecision>> promise;
-  std::uint64_t owner_id = 0;
   {
     const MutexLock lock(mutex_);
     const auto it = entries_.find(key);
     if (it != entries_.end()) {
       ++stats_.hits;
-      future = it->second.future;
+      future = it->second;
     } else {
       ++stats_.misses;
       promise.emplace();
       future = promise->get_future().share();
-      owner_id = ++next_id_;
-      entries_.emplace(key, Entry{future, owner_id});
+      entries_.emplace(key, future);
     }
   }
   if (promise.has_value()) {
@@ -54,15 +52,11 @@ MappingDecision MappingCache::get_or_compute(
       promise->set_value(compute());
     } catch (...) {
       // Wake waiters with the error, then evict so the next request
-      // retries instead of replaying a stale failure forever.  Only
-      // evict our *own* entry: after a concurrent clear() the key may
-      // already map to someone else's healthy in-flight compute.
+      // retries instead of replaying a stale failure forever.  Entries
+      // are never dropped otherwise, so the key is still ours.
       promise->set_exception(std::current_exception());
       const MutexLock lock(mutex_);
-      const auto it = entries_.find(key);
-      if (it != entries_.end() && it->second.id == owner_id) {
-        entries_.erase(it);
-      }
+      entries_.erase(key);
     }
   }
   return future.get();
@@ -94,11 +88,6 @@ MappingCacheStats MappingCache::stats() const {
 Count MappingCache::size() const {
   const MutexLock lock(mutex_);
   return static_cast<Count>(entries_.size());
-}
-
-void MappingCache::clear() {
-  const MutexLock lock(mutex_);
-  entries_.clear();
 }
 
 }  // namespace vwsdk

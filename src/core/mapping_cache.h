@@ -17,7 +17,6 @@
 /// pin down.  A compute that throws propagates to every waiter and is
 /// evicted, so a later request retries rather than replaying the error.
 
-#include <cstdint>
 #include <functional>
 #include <future>
 #include <string>
@@ -78,8 +77,7 @@ class MappingCache {
                       const ArrayGeometry& geometry);
 
   /// Convenience: memoized `mapper.map(context)`, keyed by the
-  /// context's shape, geometry, and objective.  The context's own
-  /// `cache` field is ignored (this cache serves the request).
+  /// context's shape, geometry, and objective.
   MappingDecision map(const Mapper& mapper, const MappingContext& context);
 
   /// One consistent counter snapshot; hits + misses equals requests
@@ -89,27 +87,16 @@ class MappingCache {
   /// Number of cached (completed or in-flight) entries.
   Count size() const VWSDK_EXCLUDES(mutex_);
 
-  /// Drop every entry; statistics keep accumulating.
-  void clear() VWSDK_EXCLUDES(mutex_);
-
  private:
   struct KeyHash {
     std::size_t operator()(const MappingCacheKey& key) const;
   };
 
-  /// The id lets a failing owner evict exactly its own entry: after a
-  /// concurrent clear() plus re-insert, the key maps to a *different*
-  /// in-flight compute that must survive the owner's cleanup.
-  struct Entry {
-    std::shared_future<MappingDecision> future;
-    std::uint64_t id = 0;
-  };
-
   mutable Mutex mutex_;
-  std::unordered_map<MappingCacheKey, Entry, KeyHash> entries_
-      VWSDK_GUARDED_BY(mutex_);
+  std::unordered_map<MappingCacheKey, std::shared_future<MappingDecision>,
+                     KeyHash>
+      entries_ VWSDK_GUARDED_BY(mutex_);
   MappingCacheStats stats_ VWSDK_GUARDED_BY(mutex_);
-  std::uint64_t next_id_ VWSDK_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace vwsdk

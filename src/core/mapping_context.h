@@ -4,11 +4,10 @@
 /// The parameter object every mapping search runs against.
 ///
 /// A MappingContext bundles what used to be loose `map(shape, geometry)`
-/// arguments with the engine's shared resources: the search objective,
-/// the memoization cache, and the optional search trace.  It is cheap to
-/// copy (non-owning pointers; the caller keeps ownership of every
-/// resource) and default-constructs to the paper's configuration:
-/// cycles objective, no cache, no trace.
+/// arguments with the search objective and the optional search trace.
+/// It is cheap to copy (non-owning pointers; the caller keeps ownership
+/// of every resource) and default-constructs to the paper's
+/// configuration: cycles objective, no trace.
 
 #include "mapping/conv_shape.h"
 #include "mapping/objective.h"
@@ -16,7 +15,6 @@
 
 namespace vwsdk {
 
-class MappingCache;
 class SearchTrace;
 
 /// Everything a Mapper needs to choose a mapping for one layer.
@@ -27,11 +25,6 @@ struct MappingContext {
   /// Scoring strategy for candidate comparison and tie-breaking;
   /// nullptr means cycles_objective() (the paper's search, bit-exact).
   const Objective* objective = nullptr;
-
-  /// When non-null, callers routing searches through the engine memoize
-  /// them here, keyed by (mapper, shape, geometry, objective).  Mappers
-  /// themselves do not consult it.
-  MappingCache* cache = nullptr;
 
   /// When non-null, search mappers record every candidate visited, in
   /// scan order (see core/search_trace.h).

@@ -58,7 +58,6 @@ MappingDecision map_layer(const Mapper& mapper, const ConvShape& shape,
                           const OptimizerOptions& options) {
   MappingContext context{shape, geometry};
   context.objective = options.objective;
-  context.cache = options.cache;
   if (options.cache != nullptr) {
     return options.cache->map(mapper, context);
   }

@@ -9,20 +9,8 @@
 
 namespace vwsdk {
 
-const ArrayTile& MappingPlan::tile(Dim ar, Dim ac) const {
-  VWSDK_REQUIRE(ar >= 0 && ar < cost.ar_cycles && ac >= 0 &&
-                    ac < cost.ac_cycles,
-                cat("tile (", ar, ", ", ac, ") out of range ",
-                    cost.ar_cycles, "x", cost.ac_cycles));
-  const std::size_t index = static_cast<std::size_t>(ar) *
-                                static_cast<std::size_t>(cost.ac_cycles) +
-                            static_cast<std::size_t>(ac);
-  VWSDK_ASSERT(index < tiles.size(), "tile list inconsistent with cost");
-  return tiles[index];
-}
-
 Cycles MappingPlan::total_cycles() const {
-  const Count grid = (kind == PlanKind::kSmd)
+  const Count grid = is_smd()
                          ? ceil_div(shape.num_windows(), cost.smd_duplicates)
                          : checked_mul(static_cast<Count>(base_x.size()),
                                        static_cast<Count>(base_y.size()));

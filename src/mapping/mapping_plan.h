@@ -109,22 +109,11 @@ void for_each_cell(const ConvShape& shape, const ArrayTile& tile, Fn&& fn) {
   for_each_cell(shape, tile, 0, tile.cols.size(), fn);
 }
 
-/// Flavor of plan layout.
-enum class PlanKind {
-  kWindowed,      ///< VW-SDK: channel-granular parallel-window tiles
-  kWindowedSplit, ///< SDK entire-channel windows: window rows split at
-                  ///< element granularity, columns split at column
-                  ///< granularity (Eq. (1) semantics)
-  kIm2colDense,   ///< im2col: flattened column split at element granularity
-  kSmd            ///< sub-matrix duplication: block-diagonal im2col copies
-};
-
 /// A complete physical mapping of one conv layer onto one array geometry.
 struct MappingPlan {
   ConvShape shape{};
   ArrayGeometry geometry{};
   CycleCost cost{};         ///< the analytic cost this plan realizes
-  PlanKind kind = PlanKind::kWindowed;
 
   /// Parallel-window base positions in padded input pixels, per axis.
   /// The full base grid is the cross product base_y x base_x.  For SMD the
@@ -132,11 +121,13 @@ struct MappingPlan {
   std::vector<Dim> base_x;
   std::vector<Dim> base_y;
 
-  /// All AR x AC tiles, ar-major (tile(ar, ac) = tiles[ar * AC + ac]).
+  /// All AR x AC tiles, ar-major: tile (ar, ac) is tiles[ar * AC + ac].
   std::vector<ArrayTile> tiles;
 
-  /// Bounds-checked tile accessor.
-  const ArrayTile& tile(Dim ar, Dim ac) const;
+  /// Whether this is a sub-matrix-duplication plan (Fig. 2(b)): D >= 2
+  /// block-diagonal im2col copies, run on chunks of D windows instead of
+  /// a base grid.
+  bool is_smd() const { return cost.smd_duplicates > 1; }
 
   /// Total computing cycles this plan executes:
   /// base-grid positions (or SMD chunks) x tiles.

@@ -3,70 +3,43 @@
 /// @file plan_builder.h
 /// Construction of executable MappingPlans from analytic mapping choices.
 ///
-/// Builders emit row and column bindings only.  Layout conventions
-/// (documented here once, asserted by plan_validate, relied on by the
-/// executor):
-///
-/// **Windowed plans** (SDK and VW-SDK; Fig. 2(c)/(d) of the paper).
-/// For AR tile `i` (channels [i*IC_t, ...)) and AC tile `j` (output
-/// channels [j*OC_t, ...)):
-///  * row for (local channel c, window offset dy, dx):
-///        row = c * PW_w*PW_h + dy * PW_w + dx
-///  * column for (local output channel o, window index wy, wx):
-///        col = o * N_WP + wy * WIP_w + wx
-///    (all windows of one output channel sit on adjacent bitlines, the
-///    "shifted and duplicated kernel" group);
-///  * which cells hold weights follows from these bindings alone; the
-///    rule, structural zeros included, lives on holds_cell
-///    (mapping_plan.h), which for_each_cell applies.
-///
-/// **im2col plans** (Fig. 2(a)).  The kernel column is flattened in
-/// im2col_row_index order (ic-major, then ky, kx) and split across AR
-/// tiles at *element* granularity: AR tile i holds flat indices
-/// [i*rows, (i+1)*rows).  Column j*cols + o computes output channel
-/// j*cols + o.  PW = kernel, one window per cycle.
-///
-/// **SMD plans** (Fig. 2(b)).  D = cost.smd_duplicates block-diagonal
-/// copies of the im2col matrix; duplicate d occupies rows
-/// [d*K^2*IC, ...) and columns [d*OC, ...).  Each cycle processes up to D
-/// consecutive kernel windows (row-major over the output grid).
-/// Requires D*K^2*IC <= rows (guaranteed by smd_cost for D >= 2;
-/// for D == 1 the im2col plan is returned instead).
+/// Every mapping places the same unrolled matrix (Fig. 2 of the paper);
+/// im2col, SDK and VW-SDK differ only in where it is cut into arrays.
+/// One tiling rule therefore builds every plan from its CycleCost, with
+/// PW = cost.window (the kernel for im2col and SMD), N_WP its kernel
+/// windows (WIP_w x WIP_h) and the channel tiles IC_t, OC_t:
+///  * **rows** flatten (ic, dy, dx) over the window, channel-major,
+///        flat = ic * PW_w*PW_h + dy * PW_w + dx,
+///    and are cut every min(rows, PW_w*PW_h * IC_t): a cut inside a
+///    channel is Eq. (1)'s element-granular split, a cut between
+///    channels Eq. (4)'s channel tile;
+///  * **columns** flatten (oc, wy, wx),
+///        flat = oc * N_WP + wy * WIP_w + wx,
+///    and are cut every min(cols, N_WP * OC_t), so all windows of one
+///    output channel sit on adjacent bitlines (the "shifted and
+///    duplicated kernel" group) unless Eq. (1) splits them;
+///  * a tile's row and column indices are its flat offsets from the
+///    start of its cut, so each tile holds one contiguous range of the
+///    flattened rows and one of the flattened columns;
+///  * tiles are numbered AR-major: tiles[ar * AC + ac];
+///  * **SMD** (Fig. 2(b)): a cost with D = cost.smd_duplicates >= 2 has
+///    one im2col tile, built D times block-diagonally: duplicate d
+///    occupies rows [d*K^2*IC, ...) and columns [d*OC, ...) with
+///    dup = d, and each cycle runs up to D consecutive kernel windows
+///    (row-major over the output grid) instead of a base grid.
+/// Which cells hold weights follows from the bindings alone; the rule,
+/// structural zeros included, lives on holds_cell (mapping_plan.h).
 
 #include "mapping/mapping_plan.h"
 
 namespace vwsdk {
 
-/// Build a windowed (SDK / VW-SDK style) plan realizing `cost`, which must
-/// be feasible, channel-granular, and produced by vw_cost (or equivalent
-/// tiling).  Throws InvalidArgument otherwise.
-MappingPlan build_windowed_plan(const ConvShape& shape,
-                                const ArrayGeometry& geometry,
-                                const CycleCost& cost);
-
-/// Build an element-split windowed plan realizing an SDK-style cost from
-/// sdk_cost(): the window's (channel, dy, dx) input rows are flattened
-/// channel-major and cut every `rows` elements (a slice may start
-/// mid-channel); the (oc, window) columns are flattened oc-major and cut
-/// every `cols`.  This is how Eq. (1)'s AR = ceil(PW²·IC/rows) and
-/// AC = ceil(OC·N_WP/cols) are physically realizable.
-MappingPlan build_element_split_plan(const ConvShape& shape,
-                                     const ArrayGeometry& geometry,
-                                     const CycleCost& cost);
-
-/// Build the dense im2col plan for `shape` on `geometry`.
-MappingPlan build_im2col_plan(const ConvShape& shape,
-                              const ArrayGeometry& geometry);
-
-/// Build the sub-matrix-duplication plan (falls back to the im2col plan
-/// when only one duplicate fits).
-MappingPlan build_smd_plan(const ConvShape& shape,
-                           const ArrayGeometry& geometry);
-
-/// Dispatch on a CycleCost produced by any of the cost functions:
-/// SMD costs build SMD plans, element-granular costs build im2col plans,
-/// channel-granular costs build windowed plans.  The rebuilt plan's cost
-/// must equal `cost` (asserted).
+/// Build the plan realizing `cost`, produced by any of the cost
+/// functions (im2col_cost, smd_cost, sdk_cost, vw_cost) for `shape` on
+/// `geometry`; the plan stores `cost`.  Throws InvalidArgument unless
+/// the cost is feasible, its window admissible, its channel tiles
+/// non-empty, its tile counts those of the cut above and, for SMD, its
+/// duplicates fit the array.
 MappingPlan build_plan_for_cost(const ConvShape& shape,
                                 const ArrayGeometry& geometry,
                                 const CycleCost& cost);

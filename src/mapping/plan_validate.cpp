@@ -150,7 +150,7 @@ std::vector<std::string> validate(const MappingPlan& plan,
   check_coverage(plan, layout, issues);
 
   // Window coverage by the base grid (SMD covers windows by construction).
-  if (plan.kind != PlanKind::kSmd) {
+  if (!plan.is_smd()) {
     const ParallelWindow& pw = plan.cost.window;
     check_bases(plan.base_x, s.windows_w(), windows_in_pw_w(s, pw), s.stride_w,
                 "x", issues);

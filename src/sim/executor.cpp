@@ -70,7 +70,7 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   // A base is a parallel-window position; for SMD it is a chunk of D
   // consecutive kernel windows, row-major over the output grid, with
   // duplicate d on window chunk * D + d.
-  const bool smd = plan.kind == PlanKind::kSmd;
+  const bool smd = plan.is_smd();
   const Count n_windows = shape.num_windows();
   const Count ow = shape.windows_w();
   const Dim dup_count = plan.cost.smd_duplicates;

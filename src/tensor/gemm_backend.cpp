@@ -1,6 +1,7 @@
 #include "tensor/gemm_backend.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/error.h"
@@ -15,10 +16,11 @@ namespace {
 
 /// Lower input rows [row_begin, row_end) of the im2col matrix into
 /// `columns` (kernel_volume x windows, row-major).  Row r corresponds
-/// to kernel element (ic, ky, kx) with r = im2col_row_index(ic, ky,
-/// kx); out-of-range taps (zero padding) become explicit zeros, so
-/// every element of the row range is written.  Kept out of line for the
-/// reason the kernel's entry point is (tensor/gemm_microkernel.h).
+/// to kernel element (ic, ky, kx) with r = (ic * kh + ky) * kw + kx:
+/// ic-major, then ky, then kx.  Out-of-range taps (zero padding) become
+/// explicit zeros, so every element of the row range is written.  Kept
+/// out of line for the reason the kernel's entry point is
+/// (tensor/gemm_microkernel.h).
 [[gnu::noinline]] void pack_rows(const Tensord& ifm, Dim kh, Dim kw,
                                  const ConvConfig& config, Dim oh, Dim ow,
                                  Count row_begin, Count row_end,
@@ -97,14 +99,16 @@ Tensord conv2d_gemm(const Tensord& ifm, const Tensord& weights,
   const Count rows = static_cast<Count>(in.d1) * kh * kw;  // kernel volume
   const Count cols = static_cast<Count>(oh) * ow;          // windows
 
-  // The lowered im2col matrix, kernel_volume x windows, row-major.
-  std::vector<double> lowered(static_cast<std::size_t>(rows * cols));
-  double* columns = lowered.data();
+  // The lowered im2col matrix, kernel_volume x windows, row-major; left
+  // uninitialised, since pack_rows writes every element.
+  const auto lowered = std::make_unique_for_overwrite<double[]>(
+      static_cast<std::size_t>(rows * cols));
+  double* columns = lowered.get();
 
   Tensord ofm = Tensord::feature_map(oc, oh, ow);
   // The weight tensor's raw storage (OC, IC, KH, KW row-major) is
-  // already the OC x kernel_volume left-hand matrix in im2col_row_index
-  // order -- no packing needed.
+  // already the OC x kernel_volume left-hand matrix, its columns in the
+  // (ic, ky, kx) order of the lowered rows -- no packing needed.
   const double* a = weights.data().data();
   double* c = ofm.data().data();
 

@@ -6,8 +6,9 @@
 ///
 /// This is the software analogue of the paper's im2col framing (§II-A)
 /// turned into an execution engine: the input feature map is lowered
-/// into a kernel_volume x windows matrix (rows in exactly the
-/// im2col_row_index order, so the weight tensor's raw storage already
+/// into a kernel_volume x windows matrix (rows ordered (ic, ky, kx),
+/// ic-major, then ky, then kx -- the paper's "unroll each 3-D kernel
+/// into a column" (§II-A) -- so the weight tensor's raw storage already
 /// IS the left-hand matrix), and the convolution becomes one dense
 /// matrix-matrix product on the register-blocked micro-kernel of
 /// tensor/gemm_kernel.h, fanned out over the caller's thread pool.

@@ -28,7 +28,6 @@
 #include "tensor/conv_ref.h"
 #include "tensor/exec_backend.h"
 #include "tensor/gemm_backend.h"
-#include "tensor/im2col_ref.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 

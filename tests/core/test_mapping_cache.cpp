@@ -89,18 +89,6 @@ TEST(MappingCache, ComputeFailureIsEvictedAndRetried) {
   EXPECT_EQ(cache.stats().misses, 2);
 }
 
-TEST(MappingCache, ClearDropsEntriesKeepsStats) {
-  const VwSdkMapper mapper;
-  MappingCache cache;
-  const ConvShape shape = ConvShape::square(14, 3, 16, 16);
-  (void)cache.map(mapper, shape, k512x512);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0);
-  (void)cache.map(mapper, shape, k512x512);  // recomputes after clear
-  EXPECT_EQ(cache.stats().misses, 2);
-  EXPECT_EQ(cache.stats().hits, 0);
-}
-
 // Pinning test for the one-lock stats snapshot: `entries` is part of
 // MappingCacheStats precisely so hits/misses/entries come from a single
 // lock acquisition.  Reading size() separately (the old shape) could

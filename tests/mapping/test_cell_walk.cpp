@@ -118,19 +118,23 @@ std::vector<Cell> legacy_smd(const MappingPlan& plan) {
   return cells;
 }
 
+/// The legacy list of `tile`, chosen from the plan's cost the way the
+/// builders were once dispatched.
 std::vector<Cell> legacy_cells(const MappingPlan& plan,
                                const ArrayTile& tile) {
-  switch (plan.kind) {
-    case PlanKind::kWindowed:
-      return legacy_windowed(plan, tile);
-    case PlanKind::kWindowedSplit:
-      return legacy_element_split(plan, tile);
-    case PlanKind::kIm2colDense:
-      return legacy_im2col(tile);
-    case PlanKind::kSmd:
-      return legacy_smd(plan);
+  const CycleCost& cost = plan.cost;
+  if (plan.is_smd()) {
+    return legacy_smd(plan);
   }
-  return {};
+  if (cost.split == RowSplit::kElementGranular) {
+    return legacy_im2col(tile);
+  }
+  if (cost.window.area() * cost.ic_t > plan.geometry.rows ||
+      windows_in_pw(plan.shape, cost.window) * cost.oc_t >
+          plan.geometry.cols) {
+    return legacy_element_split(plan, tile);
+  }
+  return legacy_windowed(plan, tile);
 }
 
 /// The rows, ascending, that `layout`'s groups give each array column,

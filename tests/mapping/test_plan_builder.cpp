@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.h"
 #include "mapping/plan_validate.h"
 #include "support/support.h"
@@ -18,9 +20,10 @@ TEST(PlanBuilder, WindowedPlanStructure) {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
   const CycleCost cost = vw_cost(shape, kSmall, {4, 3});
   ASSERT_TRUE(cost.feasible);
-  const MappingPlan plan = build_windowed_plan(shape, kSmall, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, kSmall, cost);
 
-  EXPECT_EQ(plan.kind, PlanKind::kWindowed);
+  EXPECT_EQ(plan.cost, cost);
+  EXPECT_FALSE(plan.is_smd());
   EXPECT_EQ(plan.tiles.size(), 1u);
   // Base grid: windows_w = 6, per PW = 2 -> 3 bases; windows_h = 6 / 1 -> 6.
   EXPECT_EQ(plan.base_x.size(), 3u);
@@ -37,7 +40,7 @@ TEST(PlanBuilder, WindowedPlanClampedLastBaseOverlaps) {
   // windows_w = 5, per PW = 2 -> bases at windows 0, 2, 3 (clamped).
   const ConvShape shape = ConvShape::square(7, 3, 2, 2);
   const CycleCost cost = vw_cost(shape, kSmall, {4, 3});
-  const MappingPlan plan = build_windowed_plan(shape, kSmall, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, kSmall, cost);
   ASSERT_EQ(plan.base_x.size(), 3u);
   EXPECT_EQ(plan.base_x[0], 0);
   EXPECT_EQ(plan.base_x[1], 2);
@@ -51,22 +54,27 @@ TEST(PlanBuilder, WindowedPlanChannelTiling) {
   const CycleCost cost = vw_cost(shape, kSmall, {4, 3});
   ASSERT_EQ(cost.ar_cycles, 2);
   ASSERT_EQ(cost.ac_cycles, 3);  // OC_t = 16 -> ceil(40/16) = 3
-  const MappingPlan plan = build_windowed_plan(shape, kSmall, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, kSmall, cost);
   EXPECT_EQ(plan.tiles.size(), 6u);
+  // Tiles are AR-major: tile (ar, ac) is tiles[ar * 3 + ac].
+  for (std::size_t t = 0; t < plan.tiles.size(); ++t) {
+    EXPECT_EQ(plan.tiles[t].ar_index, static_cast<Dim>(t / 3));
+    EXPECT_EQ(plan.tiles[t].ac_index, static_cast<Dim>(t % 3));
+  }
   // First AR band holds channels 0..4, second 5..8.
-  EXPECT_EQ(plan.tile(0, 0).rows.front().ic, 0);
-  EXPECT_EQ(plan.tile(1, 0).rows.front().ic, 5);
-  EXPECT_EQ(plan.tile(1, 0).rows.size(), 4u * 12u);
+  EXPECT_EQ(plan.tiles[0].rows.front().ic, 0);
+  EXPECT_EQ(plan.tiles[3].rows.front().ic, 5);
+  EXPECT_EQ(plan.tiles[3].rows.size(), 4u * 12u);
   // Last AC tile holds 40 - 2*16 = 8 output channels x N_WP = 2 cols.
-  EXPECT_EQ(plan.tile(0, 2).cols.size(), 16u);
+  EXPECT_EQ(plan.tiles[2].cols.size(), 16u);
   EXPECT_TRUE(validate_plan(plan).empty());
 }
 
 TEST(PlanBuilder, Im2colPlanDenseRows) {
   // K^2*IC = 9*8 = 72 > 64 rows -> AR = 2 element slices (64 + 8).
   const ConvShape shape = ConvShape::square(6, 3, 8, 10);
-  const MappingPlan plan = build_im2col_plan(shape, kSmall);
-  EXPECT_EQ(plan.kind, PlanKind::kIm2colDense);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, im2col_cost(shape, kSmall));
   ASSERT_EQ(plan.cost.ar_cycles, 2);
   EXPECT_EQ(plan.tiles[0].rows.size(), 64u);
   EXPECT_EQ(plan.tiles[1].rows.size(), 8u);
@@ -81,7 +89,8 @@ TEST(PlanBuilder, Im2colPlanDenseRows) {
 
 TEST(PlanBuilder, Im2colPlanBaseGridIsEveryWindow) {
   const ConvShape shape = ConvShape::square(6, 3, 1, 1);
-  const MappingPlan plan = build_im2col_plan(shape, kSmall);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, im2col_cost(shape, kSmall));
   EXPECT_EQ(plan.base_x.size(), 4u);
   EXPECT_EQ(plan.base_y.size(), 4u);
   EXPECT_EQ(plan.total_cycles(), 16);
@@ -91,9 +100,11 @@ TEST(PlanBuilder, SmdPlanBlockDiagonal) {
   // K^2*IC = 9, OC = 2: by_rows = floor(64/9) = 7, by_cols = 16 -> D = 7,
   // capped by 16 windows -> 7.
   const ConvShape shape = ConvShape::square(6, 3, 1, 2);
-  const MappingPlan plan = build_smd_plan(shape, kSmall);
-  EXPECT_EQ(plan.kind, PlanKind::kSmd);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, smd_cost(shape, kSmall));
+  EXPECT_TRUE(plan.is_smd());
   EXPECT_EQ(plan.cost.smd_duplicates, 7);
+  EXPECT_TRUE(plan.base_x.empty() && plan.base_y.empty());
   ASSERT_EQ(plan.tiles.size(), 1u);
   // 7 dups x 9 rows, 7 dups x 2 cols, 7 x 18 cells.
   EXPECT_EQ(plan.tiles[0].rows.size(), 63u);
@@ -108,33 +119,42 @@ TEST(PlanBuilder, SmdPlanBlockDiagonal) {
 }
 
 TEST(PlanBuilder, SmdFallsBackToIm2colWhenOneCopy) {
-  const ConvShape shape = ConvShape::square(6, 3, 8, 10);  // 72 rows > 64
-  const MappingPlan plan = build_smd_plan(shape, kSmall);
-  EXPECT_EQ(plan.kind, PlanKind::kIm2colDense);
+  // 72 rows > 64: one copy fits, so the SMD cost is the im2col cost and
+  // builds the im2col plan.
+  const ConvShape shape = ConvShape::square(6, 3, 8, 10);
+  const CycleCost cost = smd_cost(shape, kSmall);
+  ASSERT_EQ(cost, im2col_cost(shape, kSmall));
+  const MappingPlan plan = build_plan_for_cost(shape, kSmall, cost);
+  EXPECT_FALSE(plan.is_smd());
+  EXPECT_EQ(plan.base_x.size(), 4u);
+  EXPECT_EQ(plan.tiles.size(), 2u);
 }
 
 TEST(PlanBuilder, PlanForWindowDispatches) {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
-  EXPECT_EQ(build_plan_for_window(shape, kSmall, {3, 3}).kind,
-            PlanKind::kIm2colDense);
-  EXPECT_EQ(build_plan_for_window(shape, kSmall, {4, 3}).kind,
-            PlanKind::kWindowed);
+  EXPECT_EQ(build_plan_for_window(shape, kSmall, {3, 3}).cost,
+            im2col_cost(shape, kSmall));
+  EXPECT_EQ(build_plan_for_window(shape, kSmall, {4, 3}).cost,
+            vw_cost(shape, kSmall, {4, 3}));
   EXPECT_THROW(build_plan_for_window(shape, kSmall, {30, 30}),
                InvalidArgument);
 }
 
 TEST(PlanBuilder, PlanForCostDispatches) {
+  // Every cost function's cost builds a valid plan that stores it and
+  // runs its cycles.
   const ConvShape small = ConvShape::square(6, 3, 1, 2);
-  EXPECT_EQ(
-      build_plan_for_cost(small, kSmall, smd_cost(small, kSmall)).kind,
-      PlanKind::kSmd);
-  EXPECT_EQ(
-      build_plan_for_cost(small, kSmall, im2col_cost(small, kSmall)).kind,
-      PlanKind::kIm2colDense);
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
-  EXPECT_EQ(build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 3}))
-                .kind,
-            PlanKind::kWindowed);
+  for (const auto& [s, cost] :
+       {std::pair{small, smd_cost(small, kSmall)},
+        std::pair{small, im2col_cost(small, kSmall)},
+        std::pair{shape, vw_cost(shape, kSmall, {4, 3})},
+        std::pair{shape, sdk_cost(shape, kSmall, {8, 8})}}) {
+    const MappingPlan plan = build_plan_for_cost(s, kSmall, cost);
+    EXPECT_EQ(plan.cost, cost) << cost.to_string();
+    EXPECT_EQ(plan.total_cycles(), cost.total) << cost.to_string();
+    EXPECT_TRUE(validate_plan(plan).empty()) << cost.to_string();
+  }
   CycleCost bad;
   EXPECT_THROW(build_plan_for_cost(shape, kSmall, bad), InvalidArgument);
 }
@@ -142,10 +162,63 @@ TEST(PlanBuilder, PlanForCostDispatches) {
 TEST(PlanBuilder, RejectsInfeasibleOrForeignCosts) {
   const ConvShape shape = ConvShape::square(8, 3, 4, 6);
   const CycleCost infeasible = vw_cost(shape, kSmall, {30, 30});
-  EXPECT_THROW(build_windowed_plan(shape, kSmall, infeasible),
+  EXPECT_THROW(build_plan_for_cost(shape, kSmall, infeasible),
                InvalidArgument);
-  const CycleCost im2col = im2col_cost(shape, kSmall);
-  EXPECT_THROW(build_windowed_plan(shape, kSmall, im2col), InvalidArgument);
+  // Tile counts that are not the cut's.
+  CycleCost miscounted = vw_cost(shape, kSmall, {4, 3});
+  miscounted.ac_cycles += 1;
+  EXPECT_THROW(build_plan_for_cost(shape, kSmall, miscounted),
+               InvalidArgument);
+  // An empty channel tile.
+  CycleCost empty = vw_cost(shape, kSmall, {4, 3});
+  empty.oc_t = 0;
+  EXPECT_THROW(build_plan_for_cost(shape, kSmall, empty), InvalidArgument);
+  // More SMD duplicates than the array holds: 8 x 9 rows > 64.
+  const ConvShape small = ConvShape::square(6, 3, 1, 2);
+  CycleCost crowded = smd_cost(small, kSmall);
+  ASSERT_EQ(crowded.smd_duplicates, 7);
+  crowded.smd_duplicates = 8;
+  EXPECT_THROW(build_plan_for_cost(small, kSmall, crowded), InvalidArgument);
+}
+
+TEST(PlanBuilder, EveryTileHoldsOneContiguousFlatRange) {
+  // The tiling rule: a tile's rows are a range of the flattened
+  // (ic, dy, dx), each bound at its offset from the range's start, and
+  // the AR bands' ranges follow one another; likewise its columns over
+  // (oc, wy, wx).
+  const ConvShape shape = ConvShape::square(9, 3, 6, 5);
+  const ArrayGeometry geometry{40, 12};
+  for (const CycleCost& cost :
+       {im2col_cost(shape, geometry), sdk_cost(shape, geometry, {5, 4}),
+        vw_cost(shape, geometry, {4, 3})}) {
+    ASSERT_TRUE(cost.feasible) << cost.to_string();
+    const MappingPlan plan = build_plan_for_cost(shape, geometry, cost);
+    const ParallelWindow pw = cost.window;
+    const auto flat_row = [&](const RowBinding& rb) {
+      return rb.ic * pw.w * pw.h + rb.dy * pw.w + rb.dx;
+    };
+    const Dim wip_w = static_cast<Dim>(windows_in_pw_w(shape, pw));
+    const Dim n_wp = static_cast<Dim>(windows_in_pw(shape, pw));
+    const auto flat_col = [&](const ColBinding& cb) {
+      return cb.oc * n_wp + cb.win_py * wip_w + cb.win_px;
+    };
+    Count next_row = 0;
+    for (const ArrayTile& tile : plan.tiles) {
+      const Dim row_first = flat_row(tile.rows.front());
+      if (tile.ac_index == 0) {
+        EXPECT_EQ(row_first, next_row) << cost.to_string();
+        next_row += static_cast<Count>(tile.rows.size());
+      }
+      for (const RowBinding& rb : tile.rows) {
+        EXPECT_EQ(flat_row(rb), row_first + rb.row) << cost.to_string();
+      }
+      const Dim col_first = flat_col(tile.cols.front());
+      for (const ColBinding& cb : tile.cols) {
+        EXPECT_EQ(flat_col(cb), col_first + cb.col) << cost.to_string();
+      }
+    }
+    EXPECT_EQ(next_row, pw.area() * shape.in_channels) << cost.to_string();
+  }
 }
 
 TEST(PlanBuilder, StridedWindowedPlan) {
@@ -155,7 +228,7 @@ TEST(PlanBuilder, StridedWindowedPlan) {
   shape.stride_h = 2;
   const CycleCost cost = vw_cost(shape, kSmall, {5, 5});  // 2x2 windows/PW
   ASSERT_TRUE(cost.feasible);
-  const MappingPlan plan = build_windowed_plan(shape, kSmall, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, kSmall, cost);
   EXPECT_EQ(plan.base_x.size(), 2u);
   EXPECT_EQ(plan.base_x[1], 4);  // second PW starts at window 2 -> pixel 4
   EXPECT_TRUE(validate_plan(plan).empty());
@@ -166,7 +239,7 @@ TEST(PlanBuilder, ProgrammedCellCountsMatchAnalyticWeights) {
   // once per window position across all tiles).
   const ConvShape shape = ConvShape::square(8, 3, 9, 40);
   const CycleCost cost = vw_cost(shape, kSmall, {4, 3});
-  const MappingPlan plan = build_windowed_plan(shape, kSmall, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, kSmall, cost);
   EXPECT_EQ(plan.programmed_cells(), 9LL * 9 * 2 * 40);
 }
 

@@ -142,7 +142,9 @@ TEST(PlanValidate, DetectsBindingOutsideTheLayer) {
 TEST(PlanValidate, DetectsSmdDuplicateMissingAnEntity) {
   // Dup 1's first row rebound to dup 0: dup 0 binds (ic 0, 0, 0) twice,
   // dup 1 not at all.
-  MappingPlan plan = build_smd_plan(ConvShape::square(6, 3, 1, 2), kSmall);
+  const ConvShape shape = ConvShape::square(6, 3, 1, 2);
+  MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, smd_cost(shape, kSmall));
   ASSERT_GT(plan.cost.smd_duplicates, 1);
   RowBinding& row = plan.tiles[0].rows[9];
   ASSERT_EQ(row.dup, 1);
@@ -184,9 +186,13 @@ TEST(PlanValidate, DetectsEmptyPlan) {
 
 TEST(PlanValidate, SmdAndIm2colPlansValidate) {
   const ConvShape small = ConvShape::square(6, 3, 1, 2);
-  EXPECT_TRUE(validate_plan(build_smd_plan(small, kSmall)).empty());
+  EXPECT_TRUE(validate_plan(build_plan_for_cost(small, kSmall,
+                                                smd_cost(small, kSmall)))
+                  .empty());
   const ConvShape split = ConvShape::square(6, 3, 8, 10);
-  EXPECT_TRUE(validate_plan(build_im2col_plan(split, kSmall)).empty());
+  EXPECT_TRUE(validate_plan(build_plan_for_cost(split, kSmall,
+                                                im2col_cost(split, kSmall)))
+                  .empty());
 }
 
 }  // namespace

@@ -24,7 +24,9 @@ TEST(ElementSplit, SdkOversizedWindowBuildsAndValidates) {
   ASSERT_EQ(decision.cost.ar_cycles, 2);
   const MappingPlan plan =
       build_plan_for_cost(shape, geometry, decision.cost);
-  EXPECT_EQ(plan.kind, PlanKind::kWindowedSplit);
+  // The window's whole channels overflow one array, so rows are cut
+  // every 64 elements rather than between channels.
+  EXPECT_GT(plan.cost.window.area() * plan.cost.ic_t, geometry.rows);
   EXPECT_TRUE(validate_plan(plan).empty());
   // The first AR slice is a full array; the second holds the remainder
   // (128 - 64 = 64 flat elements), split mid-channel (64 / 16 = channel 4
@@ -55,7 +57,7 @@ TEST(ElementSplit, ColumnSplitAcrossAcTiles) {
   ASSERT_TRUE(cost.feasible);
   ASSERT_EQ(cost.ac_cycles, 3);
   ASSERT_EQ(cost.ar_cycles, 1);
-  const MappingPlan plan = build_element_split_plan(shape, geometry, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, geometry, cost);
   EXPECT_TRUE(validate_plan(plan).empty());
   const VerificationReport report = verify_mapping_random(plan, 99);
   EXPECT_TRUE(report.exact_match) << report.summary;
@@ -69,31 +71,35 @@ TEST(ElementSplit, BothAxesSplitSimultaneously) {
   ASSERT_TRUE(cost.feasible);
   ASSERT_GT(cost.ar_cycles, 1);
   ASSERT_GT(cost.ac_cycles, 1);
-  const MappingPlan plan = build_element_split_plan(shape, geometry, cost);
+  const MappingPlan plan = build_plan_for_cost(shape, geometry, cost);
   EXPECT_TRUE(validate_plan(plan).empty());
   const VerificationReport report = verify_mapping_random(plan, 13);
   EXPECT_TRUE(report.exact_match) << report.summary;
 }
 
 TEST(ElementSplit, RejectsNonSdkCosts) {
-  // A channel-tiled VW cost whose AR differs from Eq. (1)'s element
-  // split: IC = 16 on 64 rows with a 4x3 window gives IC_t = 5 ->
-  // AR = ceil(16/5) = 4, while element splitting would need only
-  // ceil(192/64) = 3 arrays.  The builder must refuse to mislabel it.
+  // IC = 16 on 64 rows with a 4x3 window: VW's channel tile IC_t = 5
+  // gives AR = ceil(16/5) = 4, while SDK's entire channels split at
+  // element granularity need only ceil(192/64) = 3 arrays.  Each cost
+  // builds; an entire-channel cost carrying VW's AR does not match its
+  // own cut, and the builder must refuse to mislabel it.
   const ConvShape shape = ConvShape::square(8, 3, 16, 6);
   const ArrayGeometry geometry{64, 32};
   const CycleCost vw = vw_cost(shape, geometry, {4, 3});
+  const CycleCost sdk = sdk_cost(shape, geometry, {4, 3});
   ASSERT_EQ(vw.ar_cycles, 4);
-  EXPECT_THROW(build_element_split_plan(shape, geometry, vw),
-               InvalidArgument);
-  // im2col costs are element-granular of the *kernel*, not of a window.
-  const CycleCost im2col = im2col_cost(shape, geometry);
-  EXPECT_THROW(build_element_split_plan(shape, geometry, im2col),
-               InvalidArgument);
+  ASSERT_EQ(sdk.ar_cycles, 3);
+  EXPECT_EQ(build_plan_for_cost(shape, geometry, vw).tiles.size(), 4u);
+  EXPECT_EQ(build_plan_for_cost(shape, geometry, sdk).tiles.size(), 3u);
+  CycleCost mixed = sdk;
+  mixed.ar_cycles = vw.ar_cycles;
+  mixed.total = vw.total;
+  EXPECT_THROW(build_plan_for_cost(shape, geometry, mixed), InvalidArgument);
 }
 
 TEST(ElementSplit, DispatcherPrefersFittingPlans) {
-  // When the SDK window fits one array, the normal windowed plan is used.
+  // When the SDK window fits one array, its rows are cut between
+  // channels: one tile holds every channel of the window.
   const ConvShape shape = ConvShape::square(10, 3, 2, 4);
   const ArrayGeometry geometry{64, 16};
   const MappingDecision decision = SdkMapper().map(shape, geometry);
@@ -101,7 +107,8 @@ TEST(ElementSplit, DispatcherPrefersFittingPlans) {
       decision.cost.window.area() * decision.cost.ic_t <= geometry.rows) {
     const MappingPlan plan =
         build_plan_for_cost(shape, geometry, decision.cost);
-    EXPECT_EQ(plan.kind, PlanKind::kWindowed);
+    EXPECT_EQ(static_cast<Count>(plan.tiles.front().rows.size()),
+              decision.cost.window.area() * decision.cost.ic_t);
   }
 }
 

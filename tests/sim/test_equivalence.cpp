@@ -117,10 +117,9 @@ TEST(MapperEquivalence, EverySpecificWindowShapeOnOneLayer) {
       if (!cost.feasible) {
         continue;
       }
-      const MappingPlan plan = (w == 3 && h == 3)
-                                   ? build_im2col_plan(shape, geometry)
-                                   : build_windowed_plan(shape, geometry,
-                                                         cost);
+      const MappingPlan plan = build_plan_for_cost(
+          shape, geometry,
+          (w == 3 && h == 3) ? im2col_cost(shape, geometry) : cost);
       const VerificationReport report =
           verify_mapping_random(plan, 1000 + static_cast<unsigned>(w * 8 + h));
       EXPECT_TRUE(report.exact_match)

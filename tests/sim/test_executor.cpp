@@ -21,8 +21,7 @@ const ArrayGeometry kSmall{64, 32};
 
 MappingPlan sample_plan() {
   const ConvShape shape = ConvShape::square(8, 3, 9, 40);
-  return build_windowed_plan(shape, kSmall,
-                             vw_cost(shape, kSmall, {4, 3}));
+  return build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 3}));
 }
 
 std::pair<Tensord, Tensord> sample_tensors(const ConvShape& shape,
@@ -62,7 +61,8 @@ TEST(Executor, AnalyticActivityMatchesForIm2colAndSmd) {
        {ConvShape::square(6, 3, 8, 10),    // im2col with AR split
         ConvShape::square(6, 3, 1, 2)}) {  // SMD with duplicates
     for (const MappingPlan& plan :
-         {build_im2col_plan(shape, kSmall), build_smd_plan(shape, kSmall)}) {
+         {build_plan_for_cost(shape, kSmall, im2col_cost(shape, kSmall)),
+          build_plan_for_cost(shape, kSmall, smd_cost(shape, kSmall))}) {
       const auto [ifm, weights] = sample_tensors(plan.shape, 3);
       const ExecutionResult result = execute_plan(plan, ifm, weights);
       const EnergyReport analytic =
@@ -186,28 +186,36 @@ TEST(Executor, NoiseStreamIsPinnedPerPlanKind) {
   const ConvShape windowed_shape = ConvShape::square(8, 3, 9, 40);
   const ConvShape dense_shape = ConvShape::square(6, 3, 8, 10);
   const ConvShape smd_shape = ConvShape::square(6, 3, 1, 2);
+  const CycleCost split_cost = sdk_cost(split_shape, split_geometry, {4, 4});
+  const CycleCost smd = smd_cost(smd_shape, kSmall);
+  // The SDK window's 128 rows are cut mid-window across two arrays, and
+  // the SMD plan holds more than one duplicate.
+  ASSERT_GT(split_cost.window.area() * split_cost.ic_t, split_geometry.rows);
+  ASSERT_EQ(split_cost.ar_cycles, 2);
+  ASSERT_GT(smd.smd_duplicates, 1);
   const struct {
+    const char* name;
     MappingPlan plan;
-    PlanKind kind;
     std::uint64_t expected;
   } cases[] = {
-      {build_windowed_plan(windowed_shape, kSmall,
+      {"windowed",
+       build_plan_for_cost(windowed_shape, kSmall,
                            vw_cost(windowed_shape, kSmall, {4, 3})),
-       PlanKind::kWindowed, 10310049120845973338ULL},
-      {build_element_split_plan(
-           split_shape, split_geometry,
-           sdk_cost(split_shape, split_geometry, {4, 4})),
-       PlanKind::kWindowedSplit, 10840661043485441511ULL},
-      {build_im2col_plan(dense_shape, kSmall), PlanKind::kIm2colDense,
+       10310049120845973338ULL},
+      {"element-split",
+       build_plan_for_cost(split_shape, split_geometry, split_cost),
+       10840661043485441511ULL},
+      {"im2col",
+       build_plan_for_cost(dense_shape, kSmall,
+                           im2col_cost(dense_shape, kSmall)),
        15314041013317028916ULL},
-      {build_smd_plan(smd_shape, kSmall), PlanKind::kSmd,
+      {"smd", build_plan_for_cost(smd_shape, kSmall, smd),
        12840957270812053274ULL},
   };
   // The same bits with and without a pool: noise is drawn on the
   // calling thread either way.
   ThreadPool pool(4);
   for (const auto& c : cases) {
-    ASSERT_EQ(c.plan.kind, c.kind);
     const auto [ifm, weights] = sample_tensors(c.plan.shape, 11);
     ExecutionOptions options;
     options.noise.multiplicative_sigma = 0.03;
@@ -218,7 +226,7 @@ TEST(Executor, NoiseStreamIsPinnedPerPlanKind) {
       const ExecutionResult result =
           execute_plan(c.plan, ifm, weights, options);
       EXPECT_EQ(bits_hash(result.ofm), c.expected)
-          << "plan kind " << static_cast<int>(c.kind) << ", "
+          << c.name << " plan, "
           << (fan_out == nullptr ? "no pool" : "4-worker pool");
     }
   }
@@ -230,7 +238,7 @@ TEST(Executor, NoisyRunWithClampedWindowsCompletes) {
   // two columns holding independently noised copies of each weight.
   const ConvShape shape = ConvShape::square(7, 3, 2, 2);
   const MappingPlan plan =
-      build_windowed_plan(shape, kSmall, vw_cost(shape, kSmall, {4, 3}));
+      build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 3}));
   ASSERT_EQ(plan.base_x.back(), 3);
   const auto [ifm, weights] = sample_tensors(shape, 12);
   ExecutionOptions options;
@@ -247,8 +255,8 @@ TEST(Executor, NoisyRunWithClampedWindowsCompletes) {
 /// matrix-vector product per AR tile.
 MappingPlan pointwise_plan(Dim in_channels, Dim out_channels,
                            ArrayGeometry geometry) {
-  return build_im2col_plan(
-      ConvShape::square(1, 1, in_channels, out_channels), geometry);
+  const ConvShape shape = ConvShape::square(1, 1, in_channels, out_channels);
+  return build_plan_for_cost(shape, geometry, im2col_cost(shape, geometry));
 }
 
 TEST(Executor, ComputesTheTileMatrixVectorProduct) {
@@ -347,7 +355,9 @@ TEST(Executor, IdleRowsContributeNothing) {
   // final chunk drives only duplicate 0 and duplicate 1's rows sit idle.
   // Every row driven 0 or left idle must leave the read-outs exact.
   const ConvShape shape = ConvShape::square(5, 3, 1, 2);
-  const MappingPlan plan = build_smd_plan(shape, {20, 4});
+  const ArrayGeometry geometry{20, 4};
+  const MappingPlan plan =
+      build_plan_for_cost(shape, geometry, smd_cost(shape, geometry));
   ASSERT_EQ(plan.cost.smd_duplicates, 2);
   Rng rng(15);
   Tensord ifm = Tensord::feature_map(1, 5, 5);

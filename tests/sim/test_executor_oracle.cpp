@@ -173,7 +173,7 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   };
 
   std::vector<double> input(static_cast<std::size_t>(plan.geometry.rows));
-  if (plan.kind == PlanKind::kSmd) {
+  if (plan.is_smd()) {
     const ArrayTile& tile = plan.tiles.front();
     const Count n_windows = shape.num_windows();
     const Dim dup_count = plan.cost.smd_duplicates;
@@ -418,7 +418,7 @@ TEST(ExecutorOracle, MatchesPerCycleExecutorOnClampedWindows) {
   // base is clamped, so some outputs are computed and committed twice.
   const ConvShape shape = ConvShape::square(7, 3, 2, 2);
   const ArrayGeometry geometry{64, 32};
-  const MappingPlan plan = build_windowed_plan(
+  const MappingPlan plan = build_plan_for_cost(
       shape, geometry, vw_cost(shape, geometry, {4, 3}));
   ASSERT_EQ(plan.base_x.back(), 3);
   for (const ExecutionOptions& options : option_grid()) {
@@ -509,7 +509,7 @@ TEST(ExecutorOracle, SmdFinalChunkWithIdleDuplicates) {
   // window, and its other two duplicates are driven with zeros.
   const MappingPlan plan =
       plan_of("smd", ConvShape::square(6, 3, 2, 4), {64, 32});
-  ASSERT_EQ(plan.kind, PlanKind::kSmd);
+  ASSERT_TRUE(plan.is_smd());
   EXPECT_EQ(plan.cost.smd_duplicates, 3);
   EXPECT_EQ(plan.shape.num_windows() % plan.cost.smd_duplicates, 1);
   expect_oracle_on_every_option_mix(plan);
@@ -522,7 +522,7 @@ TEST(ExecutorOracle, PaddedStride2Windows) {
   shape.stride_h = shape.stride_w = 2;
   shape.pad_h = shape.pad_w = 1;
   const MappingPlan plan = plan_of("vw-sdk", shape, {64, 32});
-  ASSERT_EQ(plan.kind, PlanKind::kWindowed);
+  ASSERT_EQ(plan.cost, vw_cost(shape, {64, 32}, plan.cost.window));
   EXPECT_EQ(plan.base_y.front(), 0);
   EXPECT_EQ(plan.base_x.front(), 0);
   EXPECT_LT(plan.base_y.front(), shape.pad_h);
@@ -550,7 +550,8 @@ TEST(ExecutorOracle, GroupsNarrowerThanOneSlice) {
   // channels, narrower than one 48-column slice, at two base blocks.
   const MappingPlan plan =
       plan_of("vw-sdk", ConvShape::square(24, 3, 8, 12), {128, 64});
-  ASSERT_EQ(plan.kind, PlanKind::kWindowed);
+  ASSERT_EQ(plan.cost,
+            vw_cost(plan.shape, plan.geometry, plan.cost.window));
   const PlanLayout layout = derive_layout(plan);
   EXPECT_GT(layout.tiles[0].groups.size(), 1u);
   for (const TileLayout& tile : layout.tiles) {

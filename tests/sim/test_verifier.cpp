@@ -47,7 +47,8 @@ TEST(Verifier, QuantizedAdcReportsBoundedError) {
 
 TEST(Verifier, ExplicitTensorsOverload) {
   const ConvShape shape = ConvShape::square(6, 3, 2, 3);
-  const MappingPlan plan = build_im2col_plan(shape, kSmall);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, im2col_cost(shape, kSmall));
   Rng rng(5);
   Tensord ifm = Tensord::feature_map(2, 6, 6);
   Tensord weights = Tensord::weights(3, 2, 3, 3);
@@ -78,7 +79,8 @@ TEST(Verifier, BackendSelectionAgreesAcrossBackends) {
 
 TEST(Verifier, UnknownBackendThrowsNotFound) {
   const ConvShape shape = ConvShape::square(6, 3, 2, 3);
-  const MappingPlan plan = build_im2col_plan(shape, kSmall);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, im2col_cost(shape, kSmall));
   ExecutionOptions options;
   options.ref_backend = "no-such-backend";
   EXPECT_THROW(verify_mapping_random(plan, 1, 1, options), NotFound);

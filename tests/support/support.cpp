@@ -33,12 +33,12 @@ MappingPlan build_plan_for_window(const ConvShape& shape,
                                   const ArrayGeometry& geometry,
                                   const ParallelWindow& pw) {
   if (pw == kernel_window(shape)) {
-    return build_im2col_plan(shape, geometry);
+    return build_plan_for_cost(shape, geometry, im2col_cost(shape, geometry));
   }
   const CycleCost cost = vw_cost(shape, geometry, pw);
   VWSDK_REQUIRE(cost.feasible, cat("window ", pw.to_string(),
                                    " infeasible on ", geometry.to_string()));
-  return build_windowed_plan(shape, geometry, cost);
+  return build_plan_for_cost(shape, geometry, cost);
 }
 
 }  // namespace vwsdk
