@@ -19,10 +19,12 @@
 /// the machine does not set: the executor's time over the gemm
 /// reference's on the calling thread (no pool), both best of three in
 /// the same run.  Both spend their time in the one GEMM micro-kernel, so
-/// the ratio is the executor's own overhead: programming, gathering and
-/// ADC accumulation.  A third section reports the same ratio on
-/// ResNet-18 conv5 (7x7, 512 to 512, 25 bases per tile), where tile
-/// programming rather than arithmetic bounds the executor.  Both
+/// the ratio is the executor's own overhead: gathering inputs and ADC
+/// accumulation (with noise off the executor reads each tile's weights
+/// in place and programs nothing).  A third section gates the same ratio
+/// at 1.5x on ResNet-18 conv5 (7x7, 512 to 512): 9 tiles of 262,144
+/// cells for 25 bases each, so a per-tile copy of the weights would cost
+/// more than the arithmetic.  Both
 /// sections also report, ungated, the best of three `validate_plan`
 /// wall times (the validation a `verify` pays on top of `execute_plan`)
 /// and of `execute_plan` fanned out over a 4-worker pool, and check that
@@ -190,9 +192,13 @@ int main() {
   Tensord weights5 = Tensord::weights(512, 512, 3, 3);
   fill_random_int(ifm5, rng, 3);
   fill_random_int(weights5, rng, 3);
-  crossbar_vs_reference(reporter, "conv5", "3x3x512x512",
-                        ConvShape::square(7, 3, 512, 512), ifm5, weights5,
-                        225, pool_4);
+  const double conv5_ratio =
+      crossbar_vs_reference(reporter, "conv5", "3x3x512x512",
+                            ConvShape::square(7, 3, 512, 512), ifm5,
+                            weights5, 225, pool_4);
+  reporter.expect_true(
+      "conv5 execute_plan within 1.5x of the gemm reference on one thread",
+      conv5_ratio <= 1.5);
 
   return reporter.finish();
 }

@@ -114,12 +114,28 @@ PlanLayout derive_layout(const MappingPlan& plan) {
                            "band"));
     }
     for (ColumnGroup& group : out.groups) {
+      Count first = 0;  // the im2col row of the group's first row
+      bool consecutive = true;
       for (std::size_t p = 0; p < out.rows.size(); ++p) {
+        const RowBinding& rb = *out.rows[p];
         Dim ky = 0;
         Dim kx = 0;
-        if (holds_cell(s, *out.rows[p], *group.cols.front(), ky, kx)) {
+        if (holds_cell(s, rb, *group.cols.front(), ky, kx)) {
+          const Count im2col =
+              (static_cast<Count>(rb.ic) * s.kernel_h + ky) * s.kernel_w + kx;
+          first = group.rows.empty() ? im2col : first;
+          consecutive = consecutive &&
+                        im2col == first + static_cast<Count>(group.rows.size());
           group.rows.push_back(p);
         }
+      }
+      const Dim oc_first = group.cols.front()->oc;
+      for (std::size_t j = 0; j < group.cols.size(); ++j) {
+        consecutive = consecutive &&
+                      group.cols[j]->oc == oc_first + static_cast<Dim>(j);
+      }
+      if (consecutive) {
+        group.im2col_first = first;
       }
     }
   }

@@ -24,6 +24,7 @@
 ///    VW-SDK plans).
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,12 @@ struct MappingPlan {
 struct ColumnGroup {
   std::vector<const ColBinding*> cols;  ///< binding order
   std::vector<std::size_t> rows;  ///< into TileLayout::rows, ascending
+  /// The im2col row, (ic * kernel_h + ky) * kernel_w + kx, of the
+  /// group's first row, when its rows hold consecutive im2col rows in
+  /// ascending order and its columns bind consecutive output channels;
+  /// none otherwise.  Then column j's weights, over the group's rows,
+  /// are the weight tensor's row cols[0]->oc + j from this element on.
+  std::optional<Count> im2col_first;
 
   /// Its cells: cols x rows.
   Count cells() const {

@@ -26,7 +26,11 @@ class Network {
   /// Append a validated layer.
   void add_layer(ConvLayerDesc layer);
 
-  const std::vector<ConvLayerDesc>& layers() const { return layers_; }
+  /// The layers, in order.  A temporary has none to lend: the reference
+  /// would dangle at the end of the full expression (as in a range-for
+  /// over `model_by_name(n).layers()`), so that call does not compile.
+  const std::vector<ConvLayerDesc>& layers() const& { return layers_; }
+  const std::vector<ConvLayerDesc>& layers() const&& = delete;
   Count layer_count() const { return static_cast<Count>(layers_.size()); }
   bool empty() const { return layers_.empty(); }
 

@@ -118,9 +118,15 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
     band_acc[band].assign(band_cols[band] * n_base, smd ? -0.0 : 0.0);
   }
 
-  // Program each tile once, in plan order, into a block of its column
-  // groups, each column's weights contiguous over its group's rows.
-  // Then run every base through each group: gather the inputs of a
+  // A column group's weights, column by column over its rows, are a
+  // block of the weight tensor when derive_layout finds the group's
+  // im2col range.  With noise off, a tile whose groups all have one is
+  // read in place, through the tensor's row stride.  Otherwise (a noisy
+  // run, whose draws follow for_each_cell order, or a group with no
+  // range) each tile is programmed once, in plan order, into a block of
+  // its column groups, each column's weights contiguous over its group's
+  // rows; the kernel sees the same weights in the same order either way.
+  // Then every base runs through each group: gather the inputs of a
   // block of bases, multiply a slice of the group's weights by them with
   // the GEMM kernel (one read-out per column and base, its rows summed
   // in ascending order), and add each read-out, ADC-converted, into the
@@ -138,6 +144,8 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
   const Count plane = static_cast<Count>(shape.ifm_h) * shape.ifm_w;
   const Count kernel_area =
       static_cast<Count>(shape.kernel_h) * shape.kernel_w;
+  // The weight tensor's row stride: one output channel's im2col rows.
+  const Count volume = kernel_area * shape.in_channels;
   ExecutionResult result;
   result.arrays_used = static_cast<Count>(plan.tiles.size());
   double min_util = 1.0;
@@ -156,24 +164,14 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
     const ArrayTile& tile = plan.tiles[t];
     const TileLayout& tile_layout = layout.tiles[t];
     const std::vector<const RowBinding*>& rows = tile_layout.rows;
-    // A group's weights are programmed side by side, n_cols x rows
-    // row-major, over only the rows it holds cells in: any other row
-    // holds a structural zero, and skipping it skips x * 0 = +-0, which
-    // leaves a sum that is never -0 exact for finite x.
+    const bool in_place =
+        !noise.has_value() &&
+        std::ranges::all_of(tile_layout.groups, [](const ColumnGroup& g) {
+          return g.im2col_first.has_value();
+        });
     const std::size_t n_groups = tile_layout.groups.size();
-    place.resize(n_groups * array_rows);
     std::size_t cells = 0;
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      const auto& group = tile_layout.groups[g];
-      for (std::size_t q = 0; q < group.rows.size(); ++q) {
-        place[g * array_rows +
-              static_cast<std::size_t>(rows[group.rows[q]]->row)] = q;
-      }
-      for (std::size_t j = 0; j < group.cols.size(); ++j) {
-        const auto col = static_cast<std::size_t>(group.cols[j]->col);
-        column_start[col] = cells + j * group.rows.size();
-        column_places[col] = g * array_rows;
-      }
+    for (const ColumnGroup& group : tile_layout.groups) {
       cells += static_cast<std::size_t>(group.cells());
     }
     // A tile below the cutoff runs on the calling thread, and so does the
@@ -185,32 +183,54 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
             ? nullptr
             : options.pool;
 
-    // Every weight of the block is one programmed cell.  The callback
-    // captures raw pointers by value: for_each_cell is not inlined here,
-    // and captures by reference cost a load through the closure per use.
-    block.resize(cells);
-    parallel_chunks(
-        noise.has_value() ? nullptr : pool,
-        static_cast<Count>(tile.cols.size()), [&](Count begin, Count end) {
-          for_each_cell(
-              shape, tile, static_cast<std::size_t>(begin),
-              static_cast<std::size_t>(end),
-              [out = block.data(), start = column_start.data(),
-               group_places = column_places.data(), row_place = place.data(),
-               kernels, ic_count = static_cast<Count>(shape.in_channels),
-               kernel_area, kernel_w = shape.kernel_w,
-               model = noise.has_value() ? &*noise : nullptr](
-                  const RowBinding& rb, const ColBinding& cb, Dim ky,
-                  Dim kx) {
-                const std::size_t col = static_cast<std::size_t>(cb.col);
-                const std::size_t row = static_cast<std::size_t>(rb.row);
-                const double value =
-                    kernels[(cb.oc * ic_count + rb.ic) * kernel_area +
-                            static_cast<Count>(ky) * kernel_w + kx];
-                out[start[col] + row_place[group_places[col] + row]] =
-                    model != nullptr ? model->apply(value) : value;
-              });
-        });
+    // A programmed group's weights sit side by side, n_cols x rows
+    // row-major, over only the rows it holds cells in: any other row
+    // holds a structural zero, and skipping it skips x * 0 = +-0, which
+    // leaves a sum that is never -0 exact for finite x.  Every weight of
+    // the block is one programmed cell.  The callback captures raw
+    // pointers by value: for_each_cell is not inlined here, and captures
+    // by reference cost a load through the closure per use.
+    if (!in_place) {
+      place.resize(n_groups * array_rows);
+      std::size_t offset = 0;
+      for (std::size_t g = 0; g < n_groups; ++g) {
+        const auto& group = tile_layout.groups[g];
+        for (std::size_t q = 0; q < group.rows.size(); ++q) {
+          place[g * array_rows +
+                static_cast<std::size_t>(rows[group.rows[q]]->row)] = q;
+        }
+        for (std::size_t j = 0; j < group.cols.size(); ++j) {
+          const auto col = static_cast<std::size_t>(group.cols[j]->col);
+          column_start[col] = offset + j * group.rows.size();
+          column_places[col] = g * array_rows;
+        }
+        offset += static_cast<std::size_t>(group.cells());
+      }
+      block.resize(cells);
+      parallel_chunks(
+          noise.has_value() ? nullptr : pool,
+          static_cast<Count>(tile.cols.size()), [&](Count begin, Count end) {
+            for_each_cell(
+                shape, tile, static_cast<std::size_t>(begin),
+                static_cast<std::size_t>(end),
+                [out = block.data(), start = column_start.data(),
+                 group_places = column_places.data(),
+                 row_place = place.data(), kernels,
+                 ic_count = static_cast<Count>(shape.in_channels),
+                 kernel_area, kernel_w = shape.kernel_w,
+                 model = noise.has_value() ? &*noise : nullptr](
+                    const RowBinding& rb, const ColBinding& cb, Dim ky,
+                    Dim kx) {
+                  const std::size_t col = static_cast<std::size_t>(cb.col);
+                  const std::size_t row = static_cast<std::size_t>(rb.row);
+                  const double value =
+                      kernels[(cb.oc * ic_count + rb.ic) * kernel_area +
+                              static_cast<Count>(ky) * kernel_w + kx];
+                  out[start[col] + row_place[group_places[col] + row]] =
+                      model != nullptr ? model->apply(value) : value;
+                });
+          });
+    }
     result.programmed_cells =
         checked_add(result.programmed_cells, static_cast<Count>(cells));
     const double util = static_cast<double>(cells) /
@@ -296,14 +316,24 @@ ExecutionResult execute_plan(const MappingPlan& plan, const Tensord& ifm,
             std::min(item.j0 + kColumnSlice, group.cols.size());
         const std::size_t n_cols = j_end - item.j0;
         readout.resize(n_cols * live);
-        const GemmOperands operands{
-            block.data() + column_start[static_cast<std::size_t>(first.col)] +
-                item.j0 * k,
-            drive.data(),
-            readout.data(),
-            static_cast<Count>(n_cols),
-            static_cast<Count>(k),
-            static_cast<Count>(live)};
+        // The slice's weights: rows oc_first + j0 on of the weight tensor
+        // from the group's first im2col row, or its programmed columns.
+        const Count lda = in_place ? volume : static_cast<Count>(k);
+        const double* weights_at =
+            in_place
+                ? kernels +
+                      (first.oc + static_cast<Count>(item.j0)) * lda +
+                      *group.im2col_first
+                : block.data() +
+                      column_start[static_cast<std::size_t>(first.col)] +
+                      item.j0 * k;
+        const GemmOperands operands{weights_at,
+                                    drive.data(),
+                                    readout.data(),
+                                    static_cast<Count>(n_cols),
+                                    static_cast<Count>(k),
+                                    static_cast<Count>(live),
+                                    lda};
         kernel.multiply(operands, 0, kernel.units(operands));
         for (std::size_t j = item.j0; j < j_end; ++j) {
           double* sum = acc +

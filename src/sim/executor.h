@@ -4,13 +4,17 @@
 /// Functional execution of a MappingPlan on crossbar arrays.
 ///
 /// The executor is tile-major, and each tile runs in four steps:
-///  1. Program: the tile's cells are written once, in for_each_cell
-///     order (the order device noise is drawn in), into one block of
-///     the column groups of its layout (derive_layout, derived once for
-///     the whole plan and shared with the validator).  A group is the
-///     columns of one SMD duplicate and window position; each column's
-///     weights sit contiguously over the rows its group holds cells in,
-///     ascending.
+///  1. Program: the tile's weights are laid out by the column groups of
+///     its layout (derive_layout, derived once for the whole plan and
+///     shared with the validator).  A group is the columns of one SMD
+///     duplicate and window position; each column's weights run over the
+///     rows its group holds cells in, ascending.  With noise off, a tile
+///     whose groups all have their im2col range
+///     (ColumnGroup::im2col_first) is read in place: each group's
+///     weights are a block of the weight tensor, passed to the kernel
+///     with the tensor's row stride, and nothing is written.  Otherwise its cells are written
+///     once, in for_each_cell order (the order device noise is drawn
+///     in), into one block, each column's weights contiguous.
 ///  2. Gather: for a block of up to 96 parallel-window bases, the
 ///     inputs those rows are driven with, zero for padding and idle SMD
 ///     duplicates, from per-row input offsets and per-base window
@@ -28,7 +32,8 @@
 /// items of one group, one block of bases and one slice of up to 48 of
 /// the group's columns.  Each writes only its own cells and (column,
 /// base) sums, so the result is bit-identical at any pool size.  Scratch
-/// is one tile block, per work chunk one base block of inputs and
+/// is one tile block (none for a tile read in place), per work chunk one
+/// base block of inputs and
 /// read-outs, and O(output) accumulators; for finite inputs the OFM
 /// bits equal a dense crossbar's.
 ///

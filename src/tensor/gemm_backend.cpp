@@ -56,6 +56,7 @@ namespace {
 }  // namespace
 
 Count GemmKernel::units(const GemmOperands& operands) const {
+  VWSDK_ASSERT(operands.lda >= operands.k, "GEMM row stride below k");
   return ceil_div(operands.m, mr) * ceil_div(operands.n, nr);
 }
 
@@ -118,7 +119,7 @@ Tensord conv2d_gemm(const Tensord& ifm, const Tensord& weights,
     pack_rows(ifm, kh, kw, config, oh, ow, begin, end, columns);
   });
   const GemmKernel& kernel = gemm_kernel();
-  const GemmOperands operands{a, columns, c, oc, rows, cols};
+  const GemmOperands operands{a, columns, c, oc, rows, cols, rows};
   parallel_chunks(fan_out, kernel.units(operands),
                   [&](Count begin, Count end) {
                     kernel.multiply(operands, begin, end);

@@ -34,8 +34,11 @@ namespace vwsdk {
 /// instead.  The result is bitwise the same either way.
 constexpr Count kParallelCutoffMacs = Count{1} << 15;
 
-/// C = A * B on row-major operands: A is m x k, B is k x n, C is m x n.
-/// The kernel overwrites every element of C.
+/// C = A * B on row-major operands: A is m x k with row stride `lda`
+/// (row i starts at a + i * lda, and the kernel reads only its first k
+/// elements), B is k x n and C is m x n, both dense.  A strided A lets a
+/// caller pass a block of a larger matrix without copying it.  The
+/// kernel overwrites every element of C.
 struct GemmOperands {
   const double* a = nullptr;
   const double* b = nullptr;
@@ -43,6 +46,7 @@ struct GemmOperands {
   Count m = 0;
   Count k = 0;
   Count n = 0;
+  Count lda = 0;  ///< A's row stride, at least k (units() checks)
 };
 
 /// One compiled variant of the kernel.  Its work splits into units: a

@@ -16,7 +16,8 @@
 /// padded past n), then every register block of the unit range runs
 /// over it: its accumulators start at +0.0 on the first k block and are
 /// reloaded from C on later ones (a store and reload is exact), and add
-/// a(i, k) * b(k, j) in ascending k.  A stays as stored.
+/// a(i, k) * b(k, j) in ascending k.  A stays as stored, read in place
+/// through its row stride `lda`.
 
 #include <algorithm>
 #include <cstring>
@@ -113,7 +114,7 @@ void block(const GemmOperands& g, const double* panel, Count m0, Count n0,
 
   const double* a[kRows] = {};
   for (int i = 0; i < kRows; ++i) {
-    a[i] = g.a + (m0 + i) * g.k + k0;
+    a[i] = g.a + (m0 + i) * g.lda + k0;
   }
   for (Count kk = 0; kk < kb; ++kk) {
     const double* b = panel + kk * kNr;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/error.h"
 
 namespace vwsdk {
@@ -13,6 +15,19 @@ Network two_layer() {
   net.add_layer(make_conv_layer("conv2", 6, 3, 4, 8));
   return net;
 }
+
+/// Whether layers() compiles on a `N`: a requires-expression outside a
+/// template may not hold an ill-formed call, so the check is a template.
+template <typename N>
+constexpr bool kLendsLayers = requires { std::declval<N>().layers(); };
+
+// layers() lends a reference into the Network, so only an lvalue lends
+// it: on a temporary, as in `for (... : model_by_name(n).layers())`, the
+// reference would dangle, and the call does not compile.
+static_assert(kLendsLayers<Network&>);
+static_assert(kLendsLayers<const Network&>);
+static_assert(!kLendsLayers<Network>);
+static_assert(!kLendsLayers<const Network>);
 
 TEST(Network, AddAndAccess) {
   const Network net = two_layer();

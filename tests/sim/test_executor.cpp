@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -366,6 +367,50 @@ TEST(Executor, IdleRowsContributeNothing) {
   fill_random_int(weights, rng, 4);
   const ExecutionResult result = execute_plan(plan, ifm, weights);
   EXPECT_TRUE(exactly_equal(result.ofm, conv2d_direct(ifm, weights)));
+}
+
+TEST(Executor, GroupWithoutIm2colRangeIsProgrammedAndExact) {
+  // With noise off the executor reads a tile's weights in place only when
+  // every column group has its im2col range (ColumnGroup::im2col_first).
+  // Two valid plans whose first tile has a group without one -- its rows
+  // out of im2col order, or its columns out of channel order -- run
+  // through programming, and still match the scalar reference exactly,
+  // with and without a pool (the tiles are above the fan-out cutoff).
+  const ConvShape shape = ConvShape::square(16, 3, 9, 40);
+  const MappingPlan plan =
+      build_plan_for_cost(shape, kSmall, vw_cost(shape, kSmall, {4, 3}));
+  MappingPlan rows_swapped = plan;
+  std::swap(rows_swapped.tiles[0].rows[0].row,
+            rows_swapped.tiles[0].rows[1].row);
+  MappingPlan channels_swapped = plan;
+  // Columns 0 and n_wp bind output channels 0 and 1 at window (0, 0);
+  // every tile of the first AC band binds the same columns.
+  const auto n_wp =
+      static_cast<std::size_t>(windows_in_pw(shape, plan.cost.window));
+  for (std::size_t t = 0; t < plan.tiles.size();
+       t += static_cast<std::size_t>(plan.cost.ac_cycles)) {
+    std::swap(channels_swapped.tiles[t].cols[0].oc,
+              channels_swapped.tiles[t].cols[n_wp].oc);
+  }
+  const auto [ifm, weights] = sample_tensors(shape, 21);
+  const Tensord oracle = conv2d_direct(ifm, weights);
+  ThreadPool pool(4);
+  for (const MappingPlan* mutated : {&rows_swapped, &channels_swapped}) {
+    const PlanLayout layout = derive_layout(*mutated);
+    ASSERT_TRUE(layout.issues.empty());
+    ASSERT_TRUE(std::ranges::any_of(
+        layout.tiles[0].groups,
+        [](const ColumnGroup& g) { return !g.im2col_first.has_value(); }));
+    for (ThreadPool* fan_out : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      ExecutionOptions options;
+      options.pool = fan_out;
+      const ExecutionResult result =
+          execute_plan(*mutated, ifm, weights, options);
+      EXPECT_TRUE(exactly_equal(result.ofm, oracle));
+      EXPECT_EQ(result.programmed_cells, plan.programmed_cells());
+      EXPECT_EQ(result.cycles, plan.cost.total);
+    }
+  }
 }
 
 TEST(Executor, ZeroInputYieldsZeroOutput) {

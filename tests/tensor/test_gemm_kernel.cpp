@@ -10,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/error.h"
 #include "common/math_util.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -62,18 +63,26 @@ std::vector<double> ascending_k(const Gemm& g, const std::vector<double>& a,
 
 /// C from `kernel` over units [0, units), split into `pieces` ranges
 /// run in reverse order (any split must give the same bits).  C starts
-/// as NaN: the kernel must write every element.
+/// as NaN: the kernel must write every element.  A's rows start `lda`
+/// elements apart from `a`; 0 means k, a dense A.
 std::vector<double> run(const GemmKernel& kernel, const Gemm& g,
-                        const std::vector<double>& a,
-                        const std::vector<double>& b, Count pieces = 1) {
+                        const double* a, const std::vector<double>& b,
+                        Count pieces = 1, Count lda = 0) {
   std::vector<double> c(static_cast<std::size_t>(g.m * g.n), std::nan(""));
-  const GemmOperands operands{a.data(), b.data(), c.data(), g.m, g.k, g.n};
+  const GemmOperands operands{a,   b.data(), c.data(), g.m,
+                              g.k, g.n,      lda == 0 ? g.k : lda};
   const Count units = kernel.units(operands);
   const Count step = std::max<Count>(1, ceil_div(units, pieces));
   for (Count end = units; end > 0; end -= std::min(step, end)) {
     kernel.multiply(operands, std::max<Count>(0, end - step), end);
   }
   return c;
+}
+
+std::vector<double> run(const GemmKernel& kernel, const Gemm& g,
+                        const std::vector<double>& a,
+                        const std::vector<double>& b, Count pieces = 1) {
+  return run(kernel, g, a.data(), b, pieces);
 }
 
 bool bitwise_equal(const std::vector<double>& x, const std::vector<double>& y) {
@@ -191,6 +200,45 @@ TEST_P(GemmKernelVariant, NegativeZeroProductsSumToPositiveZero) {
       ASSERT_FALSE(std::signbit(value)) << g.label() << ": -0.0 output";
     }
   }
+}
+
+// A read in place, through a row stride wider than k, gives the bits of
+// the same A packed densely.  The elements around every row -- before
+// the first, between rows and after the last -- are NaN, so a kernel that
+// reads one of them poisons C.  The shapes include short row blocks, and
+// k past one k block.
+TEST_P(GemmKernelVariant, ReadsAThroughItsRowStride) {
+  std::vector<Gemm> gemms = edge_gemms();
+  gemms.push_back({kKc, 2 * kKc + 3, 7});
+  for (const Gemm& g : gemms) {
+    const std::vector<double> a = real_values(g.m * g.k, 150.3);
+    const std::vector<double> b = real_values(g.k * g.n, 9.1);
+    const std::vector<double> packed = run(*kernel_, g, a, b);
+    for (const Count gap : {1, 5, 31}) {
+      const Count lda = g.k + gap;
+      std::vector<double> wide(static_cast<std::size_t>(gap + g.m * lda),
+                               std::nan(""));
+      double* const view = wide.data() + gap;
+      for (Count i = 0; i < g.m; ++i) {
+        std::copy_n(a.begin() + i * g.k, g.k, view + i * lda);
+      }
+      for (const Count pieces : {1, 3, 7}) {
+        EXPECT_TRUE(
+            bitwise_equal(packed, run(*kernel_, g, view, b, pieces, lda)))
+            << g.label() << " lda " << lda << " in " << pieces
+            << " piece(s)";
+      }
+    }
+  }
+}
+
+// A row stride below k would overlap A's rows; units() refuses it.
+TEST_P(GemmKernelVariant, RefusesARowStrideBelowK) {
+  const std::vector<double> a(12, 1.0);
+  const std::vector<double> b(12, 1.0);
+  std::vector<double> c(9);
+  const GemmOperands operands{a.data(), b.data(), c.data(), 3, 4, 3, 3};
+  EXPECT_THROW(kernel_->units(operands), InternalError);
 }
 
 INSTANTIATE_TEST_SUITE_P(
